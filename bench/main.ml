@@ -929,7 +929,7 @@ let parallel_bench ~full ~jobs_list =
   let prof_s = now () -. t0 in
   Obs.Profile.disable ();
   (* Separate fully-instrumented run for the bucket readback (metrics +
-     profiler — what `qtr profile --jobs 4` enables). *)
+     profiler — what `qtr stats --jobs 4` enables). *)
   Obs.Metrics.reset ();
   Obs.Metrics.set_enabled true;
   Obs.Profile.enable ();
@@ -1040,11 +1040,11 @@ let parallel_bench ~full ~jobs_list =
                 rows) ) ])
 
 (* ------------------------------------------------------------------ *)
-(* Executor: compiled plans vs interpretation; plan-result cache       *)
+(* Executor: batch kernels vs interpretation; plan-result cache        *)
 (* ------------------------------------------------------------------ *)
 
 let execute_bench ~full =
-  header "Execute: batch kernels vs row-compiled closures vs interpretation";
+  header "Execute: batch kernels vs interpretation";
   let cat = Lazy.force catalog in
   (* Throughput wants enough rows that per-row work dominates per-plan
      setup; the shared bench catalog is deliberately tiny, so this
@@ -1093,7 +1093,7 @@ let execute_bench ~full =
   in
   (* Deep trees re-using whole named subtrees (blend mentions score2,
      score *and* disc_price; quad mentions blend and score again): the
-     per-row paths re-evaluate every duplicated occurrence, the batch
+     interpreter re-evaluates every duplicated occurrence, the batch
      kernels share them per morsel. *)
   let blend =
     S.Arith
@@ -1182,7 +1182,7 @@ let execute_bench ~full =
         (* Scalar-dominated: no filter, no sort — nearly all the work is
            deep arithmetic over every lineitem row, which is where batch
            kernels (unboxed columns + per-morsel subtree sharing) pull
-           furthest ahead of per-row closures. *)
+           furthest ahead of per-row interpretation. *)
         P.HashAggregate
           { keys = [ I.make "l" "l_returnflag" ];
             aggs =
@@ -1239,14 +1239,12 @@ let execute_bench ~full =
       Printf.eprintf "execute bench: %s failed: %s\n%!" what e;
       exit 2
   in
-  Printf.printf "  %-26s %10s | %11s %11s %11s | %8s %8s %6s\n" "plan"
-    "src rows/rep" "interp r/s" "rowcomp r/s" "batch r/s" "vs intrp" "vs rowc"
-    "agree";
+  Printf.printf "  %-26s %10s | %11s %11s | %8s %6s\n" "plan" "src rows/rep"
+    "interp r/s" "batch r/s" "vs intrp" "agree";
   hr ();
   let per_plan = ref [] in
   let all_agree = ref true in
-  let tot_rows = ref 0 and tot_isec = ref 0.0 and tot_rsec = ref 0.0 in
-  let tot_csec = ref 0.0 in
+  let tot_rows = ref 0 and tot_isec = ref 0.0 and tot_csec = ref 0.0 in
   List.iter
     (fun (name, plan) ->
       let time_path what f =
@@ -1258,48 +1256,38 @@ let execute_bench ~full =
       let isec, ires =
         time_path "interpreted" (fun () -> Executor.Exec.run_interpreted xcat plan)
       in
-      let rsec, rres =
-        time_path "row-compiled" (fun () -> Executor.Exec.run_rowwise xcat plan)
-      in
       let csec, cres = time_path "batch" (fun () -> Executor.Exec.run xcat plan) in
       let rows = source_rows plan in
-      let agree = RS.equal_bag ires cres && RS.equal_bag rres cres in
+      let agree = RS.equal_bag ires cres in
       all_agree := !all_agree && agree;
       tot_rows := !tot_rows + (rows * reps);
       tot_isec := !tot_isec +. isec;
-      tot_rsec := !tot_rsec +. rsec;
       tot_csec := !tot_csec +. csec;
       let rps sec = float_of_int (rows * reps) /. Float.max 1e-9 sec in
       let speedup = isec /. Float.max 1e-9 csec in
-      let vs_rowc = rsec /. Float.max 1e-9 csec in
-      Printf.printf "  %-26s %10d | %11.0f %11.0f %11.0f | %7.2fx %7.2fx %6b\n%!"
-        name rows (rps isec) (rps rsec) (rps csec) speedup vs_rowc agree;
+      Printf.printf "  %-26s %10d | %11.0f %11.0f | %7.2fx %6b\n%!" name rows
+        (rps isec) (rps csec) speedup agree;
       per_plan :=
         ( name,
           Obs.Json.Obj
             [ ("source_rows_per_rep", Obs.Json.Int rows);
               ("output_rows", Obs.Json.Int (RS.row_count cres));
               ("interpreted_seconds", Obs.Json.Float isec);
-              ("rowcompiled_seconds", Obs.Json.Float rsec);
               ("compiled_seconds", Obs.Json.Float csec);
               ("interpreted_rows_per_sec", Obs.Json.Float (rps isec));
-              ("rowcompiled_rows_per_sec", Obs.Json.Float (rps rsec));
               ("compiled_rows_per_sec", Obs.Json.Float (rps csec));
               ("speedup", Obs.Json.Float speedup);
-              ("batch_speedup_vs_rowcompiled", Obs.Json.Float vs_rowc);
               ("agree", Obs.Json.Bool agree) ] )
         :: !per_plan)
     plans;
   hr ();
   let overall = !tot_isec /. Float.max 1e-9 !tot_csec in
   let overall_irps = float_of_int !tot_rows /. Float.max 1e-9 !tot_isec in
-  let overall_rrps = float_of_int !tot_rows /. Float.max 1e-9 !tot_rsec in
   let overall_crps = float_of_int !tot_rows /. Float.max 1e-9 !tot_csec in
-  let overall_vs_rowc = !tot_rsec /. Float.max 1e-9 !tot_csec in
   Printf.printf
-    "  overall: interpreter %.0f rows/s, row-compiled %.0f rows/s, batch %.0f \
-     rows/s — %.2fx vs interpreter, %.2fx vs row-compiled (agree on all plans: %b)\n"
-    overall_irps overall_rrps overall_crps overall overall_vs_rowc !all_agree;
+    "  overall: interpreter %.0f rows/s, batch %.0f rows/s — %.2fx vs \
+     interpreter (agree on all plans: %b)\n"
+    overall_irps overall_crps overall !all_agree;
 
   (* Result cache: run a small fault-injected validate + reduce with
      metrics on and read back the executor's cache counters. Reduction
@@ -1344,10 +1332,8 @@ let execute_bench ~full =
          ("scale", Obs.Json.Float xscale);
          ("agree", Obs.Json.Bool !all_agree);
          ("interpreted_rows_per_sec", Obs.Json.Float overall_irps);
-         ("rowcompiled_rows_per_sec", Obs.Json.Float overall_rrps);
          ("compiled_rows_per_sec", Obs.Json.Float overall_crps);
          ("speedup", Obs.Json.Float overall);
-         ("batch_speedup_vs_rowcompiled", Obs.Json.Float overall_vs_rowc);
          ("compile_ns_mean", Obs.Json.Float compile_ns);
          ( "result_cache",
            Obs.Json.Obj

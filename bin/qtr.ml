@@ -13,8 +13,7 @@
      qtr replay --corpus corpus/       re-execute the regression corpus
      qtr discover --alphabet setops    mine/validate/rank/promote rewrite rules
      qtr delta --cache-dir DIR         preview the reusable incremental slice
-     qtr stats                         per-rule optimizer metrics table
-     qtr profile --jobs 4              in-process span profile of a workload
+     qtr stats --jobs 4                per-rule metrics table + span profile
      qtr report --rules 10 --k 3       one-shot campaign summary (text/JSON)
      qtr bench-diff OLD NEW            regression-gate two bench result files
 
@@ -188,7 +187,7 @@ let make_fw ?rules scale budget =
   Core.Framework.create ~options ?rules cat
 
 (* ------------------------------------------------------------------ *)
-(* Attribution rendering (shared by stats / profile / report)          *)
+(* Attribution rendering (shared by stats / report)                   *)
 (* ------------------------------------------------------------------ *)
 
 let counter_cell = function Some (Obs.Metrics.Counter c) -> c | _ -> 0
@@ -357,8 +356,8 @@ let rules_cmd =
     else begin
       Printf.printf "%d exploration rules:\n" Optimizer.Rules.count;
       List.iter
-        (fun (r : Optimizer.Rule.t) ->
-          Format.printf "  %-34s %a@." r.name Optimizer.Pattern.pp r.pattern)
+        (fun (r : Dsl.Rule.t) ->
+          Format.printf "  %-34s %a@." r.name Dsl.Pattern.pp r.pattern)
         Optimizer.Rules.all;
       Printf.printf "%d implementation rules:\n"
         (List.length Optimizer.Engine.implementation_rule_names);
@@ -1010,6 +1009,21 @@ let stats_cmd =
       & info [ "queries" ] ~docv:"N"
           ~doc:"Number of stochastic TPC-H queries to optimize for the sample.")
   in
+  let folded =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "folded" ] ~docv:"FILE"
+          ~doc:
+            "Also write folded call stacks (one $(i,path;to;span self_us) line per \
+             distinct span path) to $(docv) — the input format of flamegraph.pl and \
+             speedscope.")
+  in
+  let by_domain =
+    Arg.(
+      value & flag
+      & info [ "by-domain" ] ~doc:"Also print a per-domain breakdown of the profile.")
+  in
   let sort_arg =
     let options =
       [ ("attempts", `Attempts); ("rewrites", `Rewrites); ("fired", `Fired);
@@ -1022,9 +1036,21 @@ let stats_cmd =
           ~doc:"Sort column: $(b,attempts), $(b,rewrites), $(b,fired), $(b,rate), \
                 $(b,mean) (latency) or $(b,total) (time).")
   in
-  let run scale budget seed queries sort jobs cache_dir trace json =
+  let run scale budget seed queries sort jobs folded by_domain cache_dir trace json =
+    (* Opened before any work, so an unwritable path fails fast instead
+       of after the whole workload. *)
+    let folded_oc =
+      Option.map
+        (fun path ->
+          try (path, open_out path)
+          with Sys_error e ->
+            Printf.eprintf "cannot open folded file: %s\n" e;
+            exit 1)
+        folded
+    in
     with_telemetry trace @@ fun () ->
     Obs.Metrics.set_enabled true;
+    Obs.Profile.enable ();
     let pool = pool_of jobs in
     let fw = make_fw scale budget in
     let cat = Core.Framework.catalog fw in
@@ -1058,7 +1084,21 @@ let stats_cmd =
        a live compile latency, throughput, and hit rate. *)
     List.iter (fun p -> ignore (Executor.Cache.run ~site:"stats" cat p)) (List.rev !plans);
     List.iter (fun p -> ignore (Executor.Cache.run ~site:"stats" cat p)) (List.rev !plans);
-    if json then print_endline (Obs.Json.to_string (Obs.Report.metrics_json ()))
+    Option.iter
+      (fun (path, oc) ->
+        Fun.protect
+          ~finally:(fun () -> close_out oc)
+          (fun () -> Obs.Profile.write_folded oc);
+        if not json then Printf.printf "folded stacks written to %s\n" path)
+      folded_oc;
+    if json then
+      print_endline
+        (Obs.Json.to_string
+           (Obs.Json.Obj
+              [ ("metrics", Obs.Report.metrics_json ());
+                ("profile", Obs.Profile.to_json ());
+                ("pool", pool_utilization_json ());
+                ("result_cache", cache_attribution_json ()) ]))
     else begin
       let counter_of = function Some (Obs.Metrics.Counter c) -> c | _ -> 0 in
       let hist_of rule = Obs.Metrics.histogram ~label:rule "optimizer.rule.match_ns" in
@@ -1152,6 +1192,17 @@ let stats_cmd =
         (Obs.Clock.ns_to_us
            (Obs.Metrics.hist_mean (Obs.Metrics.histogram "executor.compile_ns")))
         rows_per_sec (rate ex_hits ex_misses) ex_hits (ex_hits + ex_misses);
+      Format.printf "@.%a@." Obs.Profile.pp ();
+      if by_domain then
+        List.iter
+          (fun (dom, rows) ->
+            Printf.printf "\ndomain %d:\n" dom;
+            List.iter
+              (fun (r : Obs.Profile.row) ->
+                Printf.printf "  %-40s %7dx self %9.2fms total %9.2fms\n" r.name
+                  r.count (r.self_ns /. 1e6) (r.total_ns /. 1e6))
+              rows)
+          (Obs.Profile.rows_by_domain ());
       print_cache_attribution ();
       print_disk_cache ();
       print_pool_utilization ();
@@ -1193,106 +1244,13 @@ let stats_cmd =
   Cmd.v
     (Cmd.info "stats"
        ~doc:
-         "Optimize a stochastic TPC-H workload with metrics on and print a sorted \
-          per-rule attempt/success/latency table")
+         "Optimize and execute a stochastic TPC-H workload with metrics and the \
+          in-process span profiler on, and print a sorted per-rule \
+          attempt/success/latency table followed by self/total time, call counts \
+          and percentiles per span")
     Term.(
       const run $ scale_arg $ budget_arg $ seed_arg $ queries_arg $ sort_arg $ jobs_arg
-      $ cache_dir_arg $ trace_arg $ json_arg)
-
-(* ------------------------------------------------------------------ *)
-(* qtr profile                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let profile_cmd =
-  let queries_arg =
-    Arg.(
-      value & opt int 25
-      & info [ "queries" ] ~docv:"N"
-          ~doc:"Number of stochastic TPC-H queries to optimize and execute.")
-  in
-  let folded =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "folded" ] ~docv:"FILE"
-          ~doc:
-            "Also write folded call stacks (one $(i,path;to;span self_us) line per \
-             distinct span path) to $(docv) — the input format of flamegraph.pl and \
-             speedscope.")
-  in
-  let by_domain =
-    Arg.(
-      value & flag
-      & info [ "by-domain" ] ~doc:"Also print a per-domain breakdown of the profile.")
-  in
-  let run scale budget seed queries jobs folded by_domain trace json =
-    with_telemetry trace @@ fun () ->
-    Obs.Metrics.set_enabled true;
-    Obs.Profile.enable ();
-    let pool = pool_of jobs in
-    let fw = make_fw scale budget in
-    let cat = Core.Framework.catalog fw in
-    let ctx = { Core.Arggen.g = Prng.create seed; cat } in
-    let qs =
-      Array.init queries (fun _ -> Core.Random_gen.generate ~min_ops:3 ~max_ops:8 ctx)
-    in
-    let outcomes =
-      Par.Pool.map_array pool
-        (fun (i, q) ->
-          Relalg.Ident.set_fresh ((i + 1) * 100_000);
-          match Core.Framework.optimize fw q with
-          | Ok r ->
-            Result.is_ok (Executor.Cache.run ~site:"profile" cat r.Optimizer.Engine.plan)
-          | Error _ -> false)
-        (Array.mapi (fun i q -> (i, q)) qs)
-    in
-    let ok = Array.fold_left (fun n b -> if b then n + 1 else n) 0 outcomes in
-    (match folded with
-    | None -> ()
-    | Some path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> Obs.Profile.write_folded oc);
-      if not json then Printf.printf "folded stacks written to %s\n" path);
-    if json then
-      print_endline
-        (Obs.Json.to_string
-           (Obs.Json.Obj
-              [ ("queries", Obs.Json.Int queries);
-                ("executed_ok", Obs.Json.Int ok);
-                ("jobs", Obs.Json.Int (Par.Pool.jobs pool));
-                ("profile", Obs.Profile.to_json ());
-                ("pool", pool_utilization_json ());
-                ("result_cache", cache_attribution_json ()) ]))
-    else begin
-      Printf.printf
-        "%d stochastic TPC-H queries optimized + executed (%d ok, scale %g, budget \
-         %d, jobs %d)\n\n"
-        queries ok scale budget (Par.Pool.jobs pool);
-      Format.printf "%a@." Obs.Profile.pp ();
-      if by_domain then
-        List.iter
-          (fun (dom, rows) ->
-            Printf.printf "\ndomain %d:\n" dom;
-            List.iter
-              (fun (r : Obs.Profile.row) ->
-                Printf.printf "  %-40s %7dx self %9.2fms total %9.2fms\n" r.name
-                  r.count (r.self_ns /. 1e6) (r.total_ns /. 1e6))
-              rows)
-          (Obs.Profile.rows_by_domain ());
-      print_pool_utilization ();
-      print_cache_attribution ()
-    end
-  in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:
-         "Optimize a stochastic workload with the in-process span profiler enabled \
-          and print self/total time, call counts and percentiles per span")
-    Term.(
-      const run $ scale_arg $ budget_arg $ seed_arg $ queries_arg $ jobs_arg $ folded
-      $ by_domain $ trace_arg $ json_arg)
+      $ folded $ by_domain $ cache_dir_arg $ trace_arg $ json_arg)
 
 (* ------------------------------------------------------------------ *)
 (* qtr report                                                          *)
@@ -1632,7 +1590,7 @@ let verify_rules_cmd =
     with_telemetry trace @@ fun () ->
     let items =
       List.map
-        (fun (r : Optimizer.Rule.t) ->
+        (fun (r : Dsl.Rule.t) ->
           ("registered", r.name, false, Optimizer.Rules.rdsl_of r.name))
         Optimizer.Rules.all
       @ (if not include_discovered then []
@@ -1750,5 +1708,5 @@ let () =
        (Cmd.group
           (Cmd.info "qtr" ~version:"1.0.0" ~doc)
           [ rules_cmd; optimize_cmd; generate_cmd; coverage_cmd; compress_cmd;
-            validate_cmd; delta_cmd; reduce_cmd; replay_cmd; stats_cmd; profile_cmd;
+            validate_cmd; delta_cmd; reduce_cmd; replay_cmd; stats_cmd;
             report_cmd; discover_cmd; verify_rules_cmd; benchdiff_cmd ]))

@@ -45,7 +45,7 @@ let matrix_key fw (suite : Suite.t) =
   let h = Storage.Catalog.content_hash (Framework.catalog fw) in
   let h =
     List.fold_left
-      (fun h (r : Optimizer.Rule.t) -> combine h (Hashtbl.hash r.fingerprint))
+      (fun h (r : Dsl.Rule.t) -> combine h (Hashtbl.hash r.fingerprint))
       h (Framework.rules fw)
   in
   let h = combine h suite.k in

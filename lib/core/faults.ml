@@ -1,8 +1,8 @@
 open Relalg
 module L = Logical
 module S = Scalar
-module R = Optimizer.Rule
-module Pat = Optimizer.Pattern
+module R = Dsl.Rule
+module Pat = Dsl.Pattern
 
 (* Every buggy variant carries ~version:"fault": it shares its victim's
    name and pattern, so only the version tag separates their content

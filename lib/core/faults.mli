@@ -8,7 +8,7 @@
 val names : string list
 (** Names of rules for which a buggy variant exists. *)
 
-val inject : string -> Optimizer.Rule.t list
+val inject : string -> Dsl.Rule.t list
 (** [inject victim] is {!Optimizer.Rules.all} with [victim]'s substitution
     replaced by the broken one. Raises [Invalid_argument] for unknown
     names. *)

@@ -3,7 +3,7 @@ module SSet = Optimizer.Engine.SSet
 type t = {
   cat : Storage.Catalog.t;
   options : Optimizer.Engine.options;
-  rule_list : Optimizer.Rule.t list;
+  rule_list : Dsl.Rule.t list;
   invocations : int Atomic.t;
       (** atomic so one framework can be shared by parallel workers and
           still count every invocation exactly *)
@@ -17,9 +17,9 @@ let catalog t = t.cat
 let rules t = t.rule_list
 
 let fingerprints t =
-  List.map (fun (r : Optimizer.Rule.t) -> (r.name, r.fingerprint)) t.rule_list
+  List.map (fun (r : Dsl.Rule.t) -> (r.name, r.fingerprint)) t.rule_list
 
-let with_matched = Optimizer.Rule.collect_matched
+let with_matched = Dsl.Rule.collect_matched
 let invocations t = Atomic.get t.invocations
 let reset_invocations t = Atomic.set t.invocations 0
 
@@ -78,10 +78,10 @@ let shared_cost _t ?(disabled = []) sh =
 
 let pattern_of t name =
   List.find_map
-    (fun (r : Optimizer.Rule.t) ->
+    (fun (r : Dsl.Rule.t) ->
       if String.equal r.name name then
         (* Round-trip through the XML export, as an external tool would. *)
-        match Optimizer.Pattern.of_xml (Optimizer.Pattern.to_xml r.pattern) with
+        match Dsl.Pattern.of_xml (Dsl.Pattern.to_xml r.pattern) with
         | Ok p -> Some p
         | Error _ -> None
       else None)

@@ -9,13 +9,13 @@ type t
 
 val create :
   ?options:Optimizer.Engine.options ->
-  ?rules:Optimizer.Rule.t list ->
+  ?rules:Dsl.Rule.t list ->
   Storage.Catalog.t ->
   t
 (** [rules] overrides the exploration-rule registry (fault injection). *)
 
 val catalog : t -> Storage.Catalog.t
-val rules : t -> Optimizer.Rule.t list
+val rules : t -> Dsl.Rule.t list
 
 val fingerprints : t -> (string * string) list
 (** (name, content fingerprint) of this framework's rule registry, in
@@ -23,7 +23,7 @@ val fingerprints : t -> (string * string) list
     against a persisted manifest. *)
 
 val with_matched : (unit -> 'a) -> 'a * string list
-(** Re-export of {!Optimizer.Rule.collect_matched}: run a thunk recording
+(** Re-export of {!Dsl.Rule.collect_matched}: run a thunk recording
     the sorted names of every rule whose pattern matched some tree — the
     dependency set of whatever the thunk computed. Per-domain; wrap pool
     task bodies, not code that fans out. *)
@@ -71,7 +71,7 @@ val invocations : t -> int
 
 val reset_invocations : t -> unit
 
-val pattern_of : t -> string -> Optimizer.Pattern.t option
+val pattern_of : t -> string -> Dsl.Pattern.t option
 (** The exported rule pattern for a rule name, obtained through the XML
     export/import round trip — i.e. what a test tool outside the server
     would receive (§3.1). *)

@@ -65,7 +65,7 @@ let edges_recomputed_c = Obs.Metrics.counter "delta.edges_recomputed"
 
 let rules_info fw =
   List.map
-    (fun (r : Optimizer.Rule.t) ->
+    (fun (r : Dsl.Rule.t) ->
       { M.name = r.name;
         fingerprint = r.fingerprint;
         pattern_fp = r.pattern_fp;

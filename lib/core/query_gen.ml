@@ -1,7 +1,7 @@
 open Storage
 open Relalg
 module L = Logical
-module P = Optimizer.Pattern
+module P = Dsl.Pattern
 
 type generated = { query : L.t; trials : int }
 

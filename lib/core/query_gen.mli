@@ -13,13 +13,13 @@ type generated = {
   trials : int;  (** instantiation attempts consumed, successful one included *)
 }
 
-val instantiate : Arggen.ctx -> Optimizer.Pattern.t -> Relalg.Logical.t option
+val instantiate : Arggen.ctx -> Dsl.Pattern.t -> Relalg.Logical.t option
 (** One instantiation attempt. [None] when argument selection fails (e.g.
     no join predicate exists between the chosen tables). Returned trees
     satisfy {!Relalg.Props.validate}. *)
 
 val compose :
-  Optimizer.Pattern.t -> Optimizer.Pattern.t -> Optimizer.Pattern.t list
+  Dsl.Pattern.t -> Dsl.Pattern.t -> Dsl.Pattern.t list
 (** All composite patterns for a rule pair, smallest first: substitutions
     of each pattern into each generic slot of the other, then
     root-combinations under Join and UnionAll. *)

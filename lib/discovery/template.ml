@@ -365,19 +365,19 @@ let enumerate ?pool alpha ~max_nodes =
 (* Bridge to optimizer rules                                           *)
 
 let rec to_pattern_node = function
-  | Rel _ -> Optimizer.Pattern.Any
-  | Filter (_, c) -> Optimizer.Pattern.Op (L.KFilter, [ to_pattern_node c ])
+  | Rel _ -> Dsl.Pattern.Any
+  | Filter (_, c) -> Dsl.Pattern.Op (L.KFilter, [ to_pattern_node c ])
   | Join (_, a, b) ->
-    Optimizer.Pattern.Op (L.KJoin L.Inner, [ to_pattern_node a; to_pattern_node b ])
-  | Distinct c -> Optimizer.Pattern.Op (L.KDistinct, [ to_pattern_node c ])
+    Dsl.Pattern.Op (L.KJoin L.Inner, [ to_pattern_node a; to_pattern_node b ])
+  | Distinct c -> Dsl.Pattern.Op (L.KDistinct, [ to_pattern_node c ])
   | UnionAll (a, b) ->
-    Optimizer.Pattern.Op (L.KUnionAll, [ to_pattern_node a; to_pattern_node b ])
+    Dsl.Pattern.Op (L.KUnionAll, [ to_pattern_node a; to_pattern_node b ])
   | Union (a, b) ->
-    Optimizer.Pattern.Op (L.KUnion, [ to_pattern_node a; to_pattern_node b ])
+    Dsl.Pattern.Op (L.KUnion, [ to_pattern_node a; to_pattern_node b ])
   | Intersect (a, b) ->
-    Optimizer.Pattern.Op (L.KIntersect, [ to_pattern_node a; to_pattern_node b ])
+    Dsl.Pattern.Op (L.KIntersect, [ to_pattern_node a; to_pattern_node b ])
   | Except (a, b) ->
-    Optimizer.Pattern.Op (L.KExcept, [ to_pattern_node a; to_pattern_node b ])
+    Dsl.Pattern.Op (L.KExcept, [ to_pattern_node a; to_pattern_node b ])
 
 let to_pattern c = to_pattern_node (standardize c).lhs
 
@@ -488,4 +488,4 @@ let to_rule ?name c =
       | exception Not_found -> []
       | built -> align cat tree built
   in
-  Optimizer.Rule.make name pattern apply
+  Dsl.Rule.make name pattern apply

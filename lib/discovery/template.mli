@@ -91,7 +91,7 @@ val seeded_unsound : (string * candidate) list
 val rediscovered_name : candidate -> string option
 val seeded_name : candidate -> string option
 
-val to_pattern : candidate -> Optimizer.Pattern.t
+val to_pattern : candidate -> Dsl.Pattern.t
 (** Pattern of the standardized lhs ([Any] at relation variables). *)
 
 val to_rdsl : ?name:string -> candidate -> Dsl.Rdsl.rule option
@@ -102,7 +102,7 @@ val to_rdsl : ?name:string -> candidate -> Dsl.Rdsl.rule option
     candidate uses Intersect/Except, which fall outside the DSL
     fragment. *)
 
-val to_rule : ?name:string -> candidate -> Optimizer.Rule.t
+val to_rule : ?name:string -> candidate -> Dsl.Rule.t
 (** Bridge into a real optimizer rule: match the lhs template (binding
     relation subtrees and predicates), build the rhs, and re-align the
     output schema to the matched tree's (identity projection when only

@@ -1,12 +1,10 @@
-(** Columnar batch ("morsel") compilation — the executor's default hot
-    path since the vectorization rework.
+(** Columnar batch ("morsel") compilation — the executor's engine.
 
     Scalars compile to {!kernel}s evaluating a whole morsel of rows into
     a [Value.t array] column at a time (one tight loop per expression
     node instead of a closure call per row per node), with a fused
     unboxed [float array] fast path for arithmetic/comparison subtrees
-    over all-float columns. Plans compile to the same executable shape
-    as {!Compile.t}, but filter / projection / join-probe / per-group
+    over all-float columns. Filter / projection / join-probe / per-group
     aggregation are scheduled morsel-wise through a {!Par.Pool} with
     task-order merges, so output is byte-identical for every jobs count.
 
@@ -15,16 +13,15 @@
     first-error slot, [AND]/[OR] only evaluate their right side over the
     non-short-circuited selection, and materialization raises the lowest
     erroring row's exception, which is what a sequential row scan would
-    have raised. The QCheck differential suite holds all three paths to
-    value *and* error-message agreement. *)
+    have raised. The QCheck differential suite holds kernels to value
+    *and* error-message agreement with {!Eval}, and whole plans to
+    agreement with the interpreter ({!Exec.run_interpreted}). *)
 
 open Storage
 
 type ctx
 (** Evaluation context for one morsel: the rows plus per-row error
     slots shared by all expressions of one operator. *)
-
-val make_ctx : Value.t array array -> ctx
 
 type kernel = ctx -> int array -> Value.t array
 (** [kernel ctx sel] fills its output column at the selected row
@@ -39,29 +36,27 @@ val eval_column : kernel -> Value.t array array -> Value.t array
 (** Evaluate over one whole morsel and materialize: the column, or the
     lowest erroring row's exception. *)
 
-val full_sel : int -> int array
-
-val check : ctx -> unit
-(** Raise the lowest erroring row's recorded exception, if any. *)
-
-val make_agg : Relalg.Ident.t array -> Relalg.Aggregate.t ->
-  Value.t array array -> Value.t
-(** Batch aggregate over one group's member rows; SUM/AVG fold unboxed
-    accumulators over mono-typed numeric columns. Agrees with
-    {!Relops.make_agg} on values and errors. *)
-
-val default_morsel_rows : int
-(** 1024 — small enough to stay cache-resident, large enough to
-    amortize per-morsel setup. *)
+type t
+(** A compiled plan: output columns plus a generator that executes the
+    operator tree. Reusable — each {!execute} runs the plan afresh. *)
 
 val plan :
   ?pool:Par.Pool.t ->
   ?morsel_rows:int ->
   Storage.Catalog.t ->
   Optimizer.Physical.t ->
-  Compile.t
-(** Compile a plan to morsel-scheduled batch kernels. [pool] defaults
-    to {!Par.Pool.sequential} — executor-level parallelism must be opted
+  t
+(** Compile a plan to morsel-scheduled batch kernels. Static errors are
+    raised here, before any row is produced: {!Compile.Compile_error}
+    for unknown tables and columns, {!Relops.Exec_error} for
+    set-operation arity mismatches. [pool] defaults to
+    {!Par.Pool.sequential} — executor-level parallelism must be opted
     into, because campaign layers already parallelize across queries and
-    nesting domain pools oversubscribes. Results and errors are
-    identical for every [pool] size and every [morsel_rows] ≥ 1. *)
+    nesting domain pools oversubscribes. [morsel_rows] defaults to 1024,
+    small enough to stay cache-resident and large enough to amortize
+    per-morsel setup. Results and errors are identical for every [pool]
+    size and every [morsel_rows] ≥ 1. *)
+
+val execute : t -> Resultset.t
+(** Run the compiled plan. Raises {!Relops.Exec_error} or
+    [Invalid_argument] only for value-dependent failures. *)

@@ -1,17 +1,15 @@
-(** One-time plan compilation.
+(** Row-closure scalar compilation.
 
-    Walks a physical plan once, resolving every column reference to an
-    array offset and every scalar operator to a closure, so the per-row
-    hot loop does zero hashtable lookups and zero AST dispatch. Anything
-    knowable from the plan and catalog alone — unknown tables, unknown
-    columns, set-operation arity mismatches — is reported here, at
-    compile time, before a single row is produced; only value-dependent
-    failures (type errors, AVG over non-numerics) remain row-time. *)
+    Resolves every column reference in an expression to an array offset
+    and every operator to a closure, once, so evaluating a row does no
+    hashtable lookups and no AST dispatch. The batch engine ({!Batch})
+    uses these closures for join residuals, where it probes one row pair
+    at a time. Unknown columns are reported at compile time; only
+    value-dependent failures (type errors) remain row-time. *)
 
 exception Compile_error of string
-(** Static plan error: unknown table/column, set-operation arity
-    mismatch. Raised by {!plan} (and {!scalar}/{!pred}) — never from the
-    returned closures. *)
+(** Static error: an unknown column, or (raised by {!Batch.plan}) an
+    unknown table. Never raised from the returned closures. *)
 
 val scalar :
   Relalg.Ident.t array ->
@@ -25,24 +23,6 @@ val scalar :
 val pred :
   Relalg.Ident.t array -> Relalg.Scalar.t -> Storage.Value.t array -> bool
 (** Compiled {!Eval.pred_true}: [true] iff exactly [Bool true]. *)
-
-type t
-(** A compiled plan: output columns plus a generator that executes the
-    operator tree. Reusable — each {!execute} runs the plan afresh. *)
-
-val cols : t -> Relalg.Ident.t array
-
-val plan : Storage.Catalog.t -> Optimizer.Physical.t -> t
-(** Compile the whole plan. Raises {!Compile_error} on static errors. *)
-
-val execute : t -> Resultset.t
-(** Run the compiled plan. Raises {!Relops.Exec_error} or
-    [Invalid_argument] only for value-dependent failures. *)
-
-(** {2 Shared with the batch compiler ({!Batch})} *)
-
-val v : Relalg.Ident.t array -> (unit -> Storage.Value.t array array) -> t
-(** Wrap output columns and a row generator as a compiled plan. *)
 
 val column_index : Relalg.Ident.t array -> Relalg.Ident.t -> int
 (** Offset of a column in a row layout. Raises {!Compile_error} on

@@ -1,12 +1,12 @@
 (** Row-level machinery shared by the interpreter ({!Exec.run_interpreted})
-    and the compiled path ({!Compile}): hash tables over rows, join
-    finalization, grouping, aggregation, distinct, and sort comparators.
+    and the batch engine ({!Batch}): hash tables over rows, join
+    finalization, grouping, aggregation, distinct, sort comparators, and
+    morsel scheduling.
 
     Everything here is parameterized by already-resolved column *indices*
-    and per-row evaluation *closures*, so the two execution paths differ
-    only in how they evaluate expressions (AST walk with a column
-    hashtable vs. precompiled closures over array offsets), never in
-    relational semantics. *)
+    and evaluation *closures*, so the two engines differ only in how they
+    evaluate expressions (AST walk with a column hashtable vs. compiled
+    kernels over array offsets), never in relational semantics. *)
 
 open Storage
 

@@ -33,13 +33,13 @@ type result = {
    event reduces to the single branch inside [Obs.Metrics]/the [enabled]
    guard here. *)
 type instrumented_rule = {
-  rule : Rule.t;
+  rule : Dsl.Rule.t;
   attempts : Obs.Metrics.counter;  (** application attempts, per node *)
   rewritten : Obs.Metrics.counter;  (** rewrites produced *)
   match_ns : Obs.Metrics.histogram;  (** latency of one application *)
 }
 
-let instrument_rule (r : Rule.t) =
+let instrument_rule (r : Dsl.Rule.t) =
   { rule = r;
     attempts = Obs.Metrics.counter ~label:r.name "optimizer.rule.attempts";
     rewritten = Obs.Metrics.counter ~label:r.name "optimizer.rule.rewrites";
@@ -123,7 +123,7 @@ type rewriter = {
 
 let make_rewriter catalog options rules =
   let rules =
-    List.filter (fun (r : Rule.t) -> not (SSet.mem r.name options.disabled)) rules
+    List.filter (fun (r : Dsl.Rule.t) -> not (SSet.mem r.name options.disabled)) rules
   in
   { rw_catalog = catalog;
     rw_rules = List.map instrument_rule rules;

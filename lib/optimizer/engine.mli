@@ -58,7 +58,7 @@ type result = {
 
 val optimize :
   ?options:options ->
-  ?rules:Rule.t list ->
+  ?rules:Dsl.Rule.t list ->
   Storage.Catalog.t ->
   Relalg.Logical.t ->
   (result, string) Stdlib.result
@@ -70,7 +70,7 @@ val optimize :
 
 val ruleset :
   ?options:options ->
-  ?rules:Rule.t list ->
+  ?rules:Dsl.Rule.t list ->
   Storage.Catalog.t ->
   Relalg.Logical.t ->
   (SSet.t, string) Stdlib.result
@@ -111,7 +111,7 @@ type shared
 
 val explore_shared :
   ?options:options ->
-  ?rules:Rule.t list ->
+  ?rules:Dsl.Rule.t list ->
   Storage.Catalog.t ->
   Relalg.Logical.t ->
   (shared, string) Stdlib.result

@@ -1,4 +1,4 @@
-let all : Rule.t list =
+let all : Dsl.Rule.t list =
   Rules_join.rules @ Rules_select.rules @ Rules_agg.rules @ Rules_extra.rules
 
 (* The DSL source of each DSL-backed registered rule (the join and select
@@ -11,13 +11,13 @@ let rdsl_of name = List.assoc_opt name dsl_rules
 let () =
   (* The registry is the unit of identity for the whole framework; duplicate
      names would corrupt rule tracking. *)
-  let names = List.map (fun (r : Rule.t) -> r.name) all in
+  let names = List.map (fun (r : Dsl.Rule.t) -> r.name) all in
   let sorted = List.sort_uniq String.compare names in
   assert (List.length sorted = List.length names)
 
-let names = List.map (fun (r : Rule.t) -> r.name) all
+let names = List.map (fun (r : Dsl.Rule.t) -> r.name) all
 let count = List.length all
-let find name = List.find_opt (fun (r : Rule.t) -> String.equal r.name name) all
+let find name = List.find_opt (fun (r : Dsl.Rule.t) -> String.equal r.name name) all
 
 let find_exn name =
   match find name with
@@ -34,7 +34,7 @@ let nth i =
    name+pattern+version). The incremental-maintenance manifest and the
    warm-start matrix key both hang off these. *)
 let fingerprints () =
-  List.map (fun (r : Rule.t) -> (r.name, r.fingerprint)) all
+  List.map (fun (r : Dsl.Rule.t) -> (r.name, r.fingerprint)) all
 
 let source_of name = if List.mem_assoc name dsl_rules then "dsl" else "closure"
 
@@ -47,18 +47,18 @@ let source_of name = if List.mem_assoc name dsl_rules then "dsl" else "closure"
    behavior is in fact unchanged, the recomputed results must equal the
    pre-edit ones byte for byte, which is what the CI warm-edit job and
    the bench `incremental` experiment check. Tests that need a
-   behavior-*changing* edit build one directly with [Rule.make]. *)
+   behavior-*changing* edit build one directly with [Dsl.Rule.make]. *)
 let simulate_edit ?(rules = all) name =
   let found = ref false in
   let edited =
     List.map
-      (fun (r : Rule.t) ->
+      (fun (r : Dsl.Rule.t) ->
         if String.equal r.name name then begin
           found := true;
           (* [r.apply] is already pattern-guarded; the extra guard the
              wrapper adds is idempotent (same match condition, same
              collector entry). *)
-          Rule.make ~version:"simulated-edit" r.name r.pattern r.apply
+          Dsl.Rule.make ~version:"simulated-edit" r.name r.pattern r.apply
         end
         else r)
       rules
@@ -67,10 +67,10 @@ let simulate_edit ?(rules = all) name =
   edited
 
 let pattern_xml name =
-  Option.map (fun (r : Rule.t) -> Pattern.to_xml r.pattern) (find name)
+  Option.map (fun (r : Dsl.Rule.t) -> Dsl.Pattern.to_xml r.pattern) (find name)
 
 let all_patterns_xml () =
-  let entry (r : Rule.t) =
-    Printf.sprintf "<rule name=\"%s\">%s</rule>" r.name (Pattern.to_xml r.pattern)
+  let entry (r : Dsl.Rule.t) =
+    Printf.sprintf "<rule name=\"%s\">%s</rule>" r.name (Dsl.Pattern.to_xml r.pattern)
   in
   "<rules>" ^ String.concat "" (List.map entry all) ^ "</rules>"

@@ -3,16 +3,16 @@
     DBMS (§3.1: "we have extended the database server with an API through
     which it returns the rule pattern tree for a rule in a XML format"). *)
 
-val all : Rule.t list
+val all : Dsl.Rule.t list
 (** All exploration rules; the order is stable and experiments index rules
     by position in this list. *)
 
 val names : string list
 val count : int
-val find : string -> Rule.t option
-val find_exn : string -> Rule.t
+val find : string -> Dsl.Rule.t option
+val find_exn : string -> Dsl.Rule.t
 
-val nth : int -> Rule.t
+val nth : int -> Dsl.Rule.t
 (** Raises [Invalid_argument] when out of range. *)
 
 val pattern_xml : string -> string option
@@ -32,7 +32,7 @@ val source_of : string -> string
 (** ["dsl"] when the named registered rule is compiled from an [Rdsl]
     term, ["closure"] otherwise. *)
 
-val simulate_edit : ?rules:Rule.t list -> string -> Rule.t list
+val simulate_edit : ?rules:Dsl.Rule.t list -> string -> Dsl.Rule.t list
 (** [simulate_edit name] is the registry (default {!all}) with the named
     rule rebuilt under a bumped version tag: same name, same pattern,
     same behavior, new content fingerprint — a behavior-preserving

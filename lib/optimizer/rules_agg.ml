@@ -1,4 +1,5 @@
 open Relalg
+open Dsl
 module L = Logical
 module S = Scalar
 

@@ -4,4 +4,4 @@
     keys, set-operation commutativity/associativity, and rewrites of
     INTERSECT/EXCEPT into semi/anti-semi joins. *)
 
-val rules : Rule.t list
+val rules : Dsl.Rule.t list

@@ -4,4 +4,4 @@
     experiment configurations indexing the registry by prefix are
     unaffected. *)
 
-val rules : Rule.t list
+val rules : Dsl.Rule.t list

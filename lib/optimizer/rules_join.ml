@@ -5,6 +5,7 @@
    the registry would fall back to them if a rule ever outgrew the DSL. *)
 
 open Relalg
+open Dsl
 module L = Logical
 module S = Scalar
 module R = Dsl.Rdsl

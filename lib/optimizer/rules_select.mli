@@ -7,9 +7,9 @@
 val dsl : Dsl.Rdsl.rule list
 (** The family as DSL rules, in registry order. *)
 
-val rules : Rule.t list
+val rules : Dsl.Rule.t list
 (** [List.map Dsl.Rdsl.compile dsl]. *)
 
-val closure_rules : Rule.t list
+val closure_rules : Dsl.Rule.t list
 (** The original hand-written closures, same names and order as [rules];
     test_dsl.ml checks substitute-level parity against them. *)

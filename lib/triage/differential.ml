@@ -16,7 +16,7 @@ let align cat ~reference t =
     let lid = ids ls and rid = ids rs in
     if List.equal I.equal lid rid then Ok t
     else if I.Set.equal (I.Set.of_list lid) (I.Set.of_list rid) then
-      Ok (Optimizer.Rule.identity_project ls t)
+      Ok (Dsl.Rule.identity_project ls t)
     else if
       List.length ls = List.length rs
       && List.for_all2

@@ -30,7 +30,7 @@ let ported =
 
 let () =
   List.iter
-    (fun ((d : R.rule), (c : Optimizer.Rule.t)) ->
+    (fun ((d : R.rule), (c : Dsl.Rule.t)) ->
       assert (String.equal d.name c.name))
     ported
 
@@ -43,7 +43,7 @@ let prop_compiled_closure_parity =
     ~count:150 seed_arb (fun seed ->
       let t = random_tree micro seed in
       List.for_all
-        (fun ((d : R.rule), (c : Optimizer.Rule.t)) ->
+        (fun ((d : R.rule), (c : Dsl.Rule.t)) ->
           let compiled = (R.compile d).apply micro t in
           let closure = c.apply micro t in
           let image =
@@ -136,7 +136,7 @@ let mutant_of victim tag =
 let differential_catches victim (mutant : R.rule) =
   let rules =
     List.map
-      (fun (r : Optimizer.Rule.t) ->
+      (fun (r : Dsl.Rule.t) ->
         if String.equal r.name victim then R.compile mutant else r)
       Optimizer.Rules.all
   in
@@ -241,7 +241,7 @@ let test_pattern_mismatch_gate () =
   for seed = 0 to 40 do
     let t = random_tree micro seed in
     List.iter
-      (fun (r : Optimizer.Rule.t) -> ignore (r.apply micro t))
+      (fun (r : Dsl.Rule.t) -> ignore (r.apply micro t))
       Optimizer.Rules.all
   done;
   check int_t "no registered rule trips the pattern-mismatch probe" before
@@ -249,8 +249,8 @@ let test_pattern_mismatch_gate () =
   (* Positive control: a rule declaring a Distinct pattern while its apply
      rewrites any root must trip the probe. *)
   let bad =
-    Optimizer.Rule.make "TestDslBadProbeControl"
-      (Optimizer.Pattern.Op (L.KDistinct, [ Optimizer.Pattern.Any ]))
+    Dsl.Rule.make "TestDslBadProbeControl"
+      (Dsl.Pattern.Op (L.KDistinct, [ Dsl.Pattern.Any ]))
       (fun _ t -> [ t ])
   in
   ignore (bad.apply micro (random_tree micro 1));

@@ -8,7 +8,7 @@ module Su = Core.Suite
 module C = Core.Compress
 module I = Core.Incr
 module M = Storage.Manifest
-module R = Optimizer.Rule
+module R = Dsl.Rule
 
 let check = Alcotest.check
 let bool_t = Alcotest.bool

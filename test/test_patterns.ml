@@ -1,7 +1,7 @@
 (* Rule patterns: matching, composition, and the XML export API. *)
 open Relalg
 module L = Logical
-module P = Optimizer.Pattern
+module P = Dsl.Pattern
 module S = Scalar
 
 let check = Alcotest.check
@@ -52,7 +52,7 @@ let test_substitute_leaf () =
 
 let test_xml_round_trip_registry () =
   List.iter
-    (fun (r : Optimizer.Rule.t) ->
+    (fun (r : Dsl.Rule.t) ->
       match P.of_xml (P.to_xml r.pattern) with
       | Ok p ->
         check bool_t (r.name ^ " xml round trip") true (p = r.pattern)

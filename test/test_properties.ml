@@ -43,7 +43,7 @@ let prop_instantiation_valid =
           let has_project =
             L.fold (fun acc n -> acc || L.kind n = L.KProject) false t
           in
-          Optimizer.Pattern.matches_anywhere rule.pattern t || has_project
+          Dsl.Pattern.matches_anywhere rule.pattern t || has_project
         | Error e -> QCheck.Test.fail_reportf "invalid: %s\n%s" e (L.to_string t)))
 
 let prop_rewrites_preserve_schema =
@@ -55,18 +55,18 @@ let prop_rewrites_preserve_schema =
           (Relalg.Props.schema_exn micro t)
       in
       List.for_all
-        (fun (r : Optimizer.Rule.t) ->
+        (fun (r : Dsl.Rule.t) ->
           List.for_all
             (fun t' ->
               match Relalg.Props.schema micro t' with
               | Error e ->
-                QCheck.Test.fail_reportf "%s invalid: %s" r.Optimizer.Rule.name e
+                QCheck.Test.fail_reportf "%s invalid: %s" r.Dsl.Rule.name e
               | Ok cols ->
                 let now =
                   List.map (fun (c : Relalg.Props.col_info) -> (c.id, c.ty)) cols
                 in
                 now = original
-                || QCheck.Test.fail_reportf "%s changed schema" r.Optimizer.Rule.name)
+                || QCheck.Test.fail_reportf "%s changed schema" r.Dsl.Rule.name)
             (r.apply micro t))
         Optimizer.Rules.all)
 

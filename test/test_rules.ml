@@ -11,7 +11,7 @@
 open Relalg
 module S = Scalar
 module L = Logical
-module R = Optimizer.Rule
+module R = Dsl.Rule
 
 let check = Alcotest.check
 let bool_t = Alcotest.bool
