@@ -5,16 +5,15 @@
      qtr generate --rule JoinCommute   emit a SQL test case for a rule
      qtr generate --pair A,B           ... for a rule pair
      qtr coverage --rules 30           Figure-8-style coverage table
-     qtr compress --rules 10 --k 5     compare BASELINE/SMC/TOPK
-     qtr validate --rules 10 --k 3     run correctness testing
-     qtr validate --inject SelectMerge ... with a buggy rule injected
-     qtr reduce --inject SelectMerge --corpus corpus/
-                                       minimize + dedup + persist reproducers
+     qtr compress --rules 10 -k 5      compare BASELINE/SMC/TOPK
+     qtr validate --rules 10 -k 3      generate, compress, validate, triage
+     qtr validate --inject SelectMerge --corpus corpus/
+                                       ... with a buggy rule injected; minimize,
+                                       dedup and persist the reproducers
      qtr replay --corpus corpus/       re-execute the regression corpus
      qtr discover --alphabet setops    mine/validate/rank/promote rewrite rules
      qtr delta --cache-dir DIR         preview the reusable incremental slice
      qtr stats --jobs 4                per-rule metrics table + span profile
-     qtr report --rules 10 --k 3       one-shot campaign summary (text/JSON)
      qtr bench-diff OLD NEW            regression-gate two bench result files
 
    Every subcommand accepts --trace FILE to record a Chrome trace-event
@@ -75,10 +74,15 @@ let cache_dir_arg =
     & opt (some string) None
     & info [ "cache-dir" ] ~docv:"DIR"
         ~doc:
-          "Persistent warm-start cache directory. Execution results and §5 edge-cost \
-           matrices computed this run are spilled there (atomic, versioned writes) \
-           and reused by later runs over an identical catalog/rule-set/suite; stale \
-           or corrupt entries are silently ignored. Safe to delete at any time.")
+          "Persistent warm-start cache directory. Execution results computed this run \
+           are spilled there (atomic, versioned writes) and reused by later runs over \
+           an identical catalog; stale or corrupt entries are silently ignored. \
+           Campaigns ($(b,compress), $(b,validate)) also maintain a suite manifest \
+           there and run incrementally: the live rule-content fingerprints are diffed \
+           against the last run's, the suite targets and edge-cost cells the diff \
+           proves unaffected are replayed, and only the stale slice is recomputed — \
+           byte-identical to a cold rebuild at any $(b,--jobs). Safe to delete at any \
+           time.")
 
 (* The disk tiers key everything by the catalog contents, so a cache
    directory can be shared across scales, seeds and machines: mismatched
@@ -92,26 +96,27 @@ let setup_cache cache_dir cat =
       (Some (dc, Printf.sprintf "cat-%x" (Catalog.content_hash cat)));
     Some dc
 
-let incremental_flag =
-  Arg.(
-    value & flag
-    & info [ "incremental" ]
-        ~doc:
-          "Maintain the pipeline incrementally against the $(b,--cache-dir) manifest: \
-           diff the live rule-content fingerprints against the last run's, replay the \
-           suite targets and edge-cost matrix cells the diff proves unaffected, and \
-           recompute only the stale slice. Results are byte-identical to a cold \
-           rebuild at any $(b,--jobs). Requires $(b,--cache-dir).")
+(* A rule-name argument: exactly one of [names], checked at parse time so
+   a typo is a one-line usage error (exit 124) instead of an uncaught
+   exception, a fruitless search, or a silently ignored flag. *)
+let rule_name names =
+  let parse s =
+    if List.mem s names then Ok s else Error (`Msg (Printf.sprintf "unknown rule '%s'" s))
+  in
+  Arg.conv (parse, Format.pp_print_string)
+
+let registry_rule = rule_name Optimizer.Rules.names
 
 let simulate_edit_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some registry_rule) None
     & info [ "simulate-edit" ] ~docv:"RULE"
         ~doc:
-          "Rebuild RULE under a bumped version tag (same name, pattern and behavior, \
-           new content fingerprint) before running — the benchmark/CI stand-in for a \
-           behavior-preserving refactor of a rule's implementation.")
+          "Rebuild RULE (a name listed by $(b,qtr rules)) under a bumped version tag \
+           (same name, pattern and behavior, new content fingerprint) before running — \
+           the benchmark/CI stand-in for a behavior-preserving refactor of a rule's \
+           implementation.")
 
 (* Every generation/compression parameter that shapes the artifacts goes
    into the manifest key (the catalog is hashed in by [Incr.config_key]),
@@ -121,13 +126,27 @@ let compress_desc ~seed ~n ~k ~pairs ~budget =
   Printf.sprintf "compress|seed=%d|n=%d|k=%d|pairs=%b|budget=%d|extra=2|gen=pattern"
     seed n k pairs budget
 
-let incr_session ~incremental ~disk ~desc fw =
-  match (incremental, disk) with
-  | false, _ -> None
-  | true, None ->
-    Printf.eprintf "qtr: --incremental requires --cache-dir\n";
-    exit 1
-  | true, Some dc -> Some (Core.Incr.start ~dc ~desc fw)
+(* A campaign's suite and its one edge-cost service, shared by every
+   algorithm the campaign runs. With a cache directory both go through
+   [Core.Incr]: the manifest serves what the rule diff proves unaffected,
+   and [save_manifest] folds the solved service into the next manifest
+   once the last algorithm has run on it. *)
+let campaign ~pool ~disk ~desc fw g ~targets ~k =
+  let sess = Option.map (fun dc -> Core.Incr.start ~dc ~desc fw) disk in
+  let suite =
+    match sess with
+    | Some s -> Core.Incr.generate ~extra_ops:2 ~pool s g ~targets ~k
+    | None -> Core.Suite.generate ~extra_ops:2 ~pool fw g ~targets ~k
+  in
+  let warm_edges = Option.map Core.Incr.warm_edges sess in
+  (sess, suite, Core.Compress.edge_costs ?warm_edges fw suite)
+
+let save_manifest sess ec =
+  Option.iter
+    (fun s ->
+      Core.Incr.note_matrix s ec;
+      if not (Core.Incr.finish s) then Printf.eprintf "warning: manifest write failed\n")
+    sess
 
 let delta_report_json sess =
   let r = Core.Incr.result sess in
@@ -187,7 +206,7 @@ let make_fw ?rules scale budget =
   Core.Framework.create ~options ?rules cat
 
 (* ------------------------------------------------------------------ *)
-(* Attribution rendering (shared by stats / report)                   *)
+(* Attribution rendering (shared by stats / validate)                 *)
 (* ------------------------------------------------------------------ *)
 
 let counter_cell = function Some (Obs.Metrics.Counter c) -> c | _ -> 0
@@ -281,23 +300,16 @@ let print_cache_attribution () =
     Printf.printf "result cache by site (hits/lookups): %s\n"
       (String.concat " | " cells)
 
-let global_counter name =
-  match
-    List.find_map
-      (fun (n, l, v) -> if n = name && l = None then Some v else None)
-      (Obs.Metrics.snapshot ())
-  with
-  | Some (Obs.Metrics.Counter c) -> c
-  | _ -> 0
-
-(* Warm-start traffic: the result-cache disk tier plus the spilled
-   edge-cost matrix. Silent when no --cache-dir was given (all zeros). *)
+(* Warm-start traffic: the result-cache disk tier plus the warm
+   edge-cost cells (a spilled matrix or manifest cells). Silent when no
+   --cache-dir was given (all zeros). *)
 let print_disk_cache () =
-  let rh = global_counter "executor.result_cache.disk_hits" in
-  let rm = global_counter "executor.result_cache.disk_misses" in
-  let rs = global_counter "executor.result_cache.disk_stores" in
-  let loaded = global_counter "compress.matrix.disk_edges_loaded" in
-  let served = global_counter "compress.matrix.disk_served" in
+  let c = Obs.Metrics.counter_total in
+  let rh = c "executor.result_cache.disk_hits" in
+  let rm = c "executor.result_cache.disk_misses" in
+  let rs = c "executor.result_cache.disk_stores" in
+  let loaded = c "compress.matrix.disk_edges_loaded" in
+  let served = c "compress.matrix.disk_served" in
   if rh + rm + rs + loaded + served > 0 then
     Printf.printf
       "disk cache: results %d hit / %d miss / %d stored | matrix %d edge(s) loaded, \
@@ -306,17 +318,14 @@ let print_disk_cache () =
 
 let disk_cache_json () =
   Obs.Json.Obj
-    [ ("result_hits", Obs.Json.Int (global_counter "executor.result_cache.disk_hits"));
-      ( "result_misses",
-        Obs.Json.Int (global_counter "executor.result_cache.disk_misses") );
-      ( "result_stores",
-        Obs.Json.Int (global_counter "executor.result_cache.disk_stores") );
-      ( "matrix_edges_loaded",
-        Obs.Json.Int (global_counter "compress.matrix.disk_edges_loaded") );
-      ( "matrix_served_warm",
-        Obs.Json.Int (global_counter "compress.matrix.disk_served") );
-      ( "matrix_edges_computed",
-        Obs.Json.Int (global_counter "compress.edge_cost.computed") ) ]
+    (List.map
+       (fun (key, counter) -> (key, Obs.Json.Int (Obs.Metrics.counter_total counter)))
+       [ ("result_hits", "executor.result_cache.disk_hits");
+         ("result_misses", "executor.result_cache.disk_misses");
+         ("result_stores", "executor.result_cache.disk_stores");
+         ("matrix_edges_loaded", "compress.matrix.disk_edges_loaded");
+         ("matrix_served_warm", "compress.matrix.disk_served");
+         ("matrix_edges_computed", "compress.edge_cost.computed") ])
 
 let pool_utilization_json () =
   Obs.Json.List
@@ -381,8 +390,12 @@ let optimize_cmd =
   let disabled =
     Arg.(
       value
-      & opt_all string []
-      & info [ "disable" ] ~docv:"RULE" ~doc:"Disable a rule (repeatable).")
+      & opt_all
+          (rule_name
+             (Optimizer.Rules.names @ Optimizer.Engine.implementation_rule_names))
+          []
+      & info [ "disable" ] ~docv:"RULE"
+          ~doc:"Disable a rule listed by $(b,qtr rules) (repeatable).")
   in
   let run scale budget sql disabled trace json =
     with_telemetry trace @@ fun () ->
@@ -454,13 +467,16 @@ let optimize_cmd =
 
 let generate_cmd =
   let rule =
-    Arg.(value & opt (some string) None & info [ "rule" ] ~docv:"RULE" ~doc:"Target rule.")
+    Arg.(
+      value & opt (some registry_rule) None & info [ "rule" ] ~docv:"RULE"
+          ~doc:"Target rule (a name listed by $(b,qtr rules)).")
   in
   let pair =
     Arg.(
       value
-      & opt (some (pair ~sep:',' string string)) None
-      & info [ "pair" ] ~docv:"R1,R2" ~doc:"Target rule pair.")
+      & opt (some (pair ~sep:',' registry_rule registry_rule)) None
+      & info [ "pair" ] ~docv:"R1,R2"
+          ~doc:"Target rule pair (names listed by $(b,qtr rules)).")
   in
   let extra =
     Arg.(
@@ -583,7 +599,7 @@ let pairs_flag =
   Arg.(value & flag & info [ "pairs" ] ~doc:"Target rule pairs instead of singletons.")
 
 let compress_cmd =
-  let run scale budget seed n k pairs incremental sim jobs cache_dir trace json =
+  let run scale budget seed n k pairs sim jobs cache_dir trace json =
     with_telemetry trace @@ fun () ->
     let pool = pool_of jobs in
     let rules_override = Option.map (fun r -> Optimizer.Rules.simulate_edit r) sim in
@@ -595,47 +611,23 @@ let compress_cmd =
       if pairs then Core.Suite.all_pairs rules
       else List.map (fun r -> Core.Suite.Single r) rules
     in
-    let sess =
-      incr_session ~incremental ~disk
-        ~desc:(compress_desc ~seed ~n ~k ~pairs ~budget)
-        fw
-    in
     if not json then
       Printf.printf "generating suite: %d targets x k=%d...\n%!" (List.length targets) k;
-    let suite =
-      match sess with
-      | Some s -> Core.Incr.generate ~extra_ops:2 ~pool s g ~targets ~k
-      | None -> Core.Suite.generate ~extra_ops:2 ~pool fw g ~targets ~k
+    let sess, suite, ec =
+      campaign ~pool ~disk ~desc:(compress_desc ~seed ~n ~k ~pairs ~budget) fw g
+        ~targets ~k
     in
     if not json then
       Printf.printf "%d distinct queries (shortfalls %d)\n%!"
         (Array.length suite.entries)
         (List.length (Core.Suite.shortfall suite));
+    let baseline = Core.Compress.baseline ~pool ~ec fw suite in
+    let smc = Core.Compress.smc ~pool ~ec fw suite in
+    let topk = Core.Compress.topk ~pool ~ec fw suite in
+    let mono = Core.Compress.topk ~exploit_monotonicity:true ~ec fw suite in
+    save_manifest sess ec;
     let algos =
-      match sess with
-      | None ->
-        [ ("BASELINE", Core.Compress.baseline ~pool ?disk fw suite);
-          ("SMC", Core.Compress.smc ~pool ?disk fw suite);
-          ("TOPK", Core.Compress.topk ~pool ?disk fw suite);
-          ("TOPK+mono", Core.Compress.topk ~exploit_monotonicity:true ?disk fw suite) ]
-      | Some s ->
-        (* One manifest-warmed service shared across the algorithms:
-           every cell is computed (or served warm) once, and the solved
-           service is snapshotted into the next manifest. *)
-        let ec =
-          Core.Compress.edge_costs ?disk ~warm_edges:(Core.Incr.warm_edges s) fw
-            suite
-        in
-        let algos =
-          [ ("BASELINE", Core.Compress.baseline ~pool ~ec fw suite);
-            ("SMC", Core.Compress.smc ~pool ~ec fw suite);
-            ("TOPK", Core.Compress.topk ~pool ~ec fw suite);
-            ("TOPK+mono", Core.Compress.topk ~exploit_monotonicity:true ~ec fw suite) ]
-        in
-        Core.Incr.note_matrix s ec;
-        if not (Core.Incr.finish s) then
-          Printf.eprintf "warning: manifest write failed\n";
-        algos
+      [ ("BASELINE", baseline); ("SMC", smc); ("TOPK", topk); ("TOPK+mono", mono) ]
     in
     if json then begin
       let doc =
@@ -645,9 +637,7 @@ let compress_cmd =
              ("jobs", Obs.Json.Int (Par.Pool.jobs pool));
              ("distinct_queries", Obs.Json.Int (Array.length suite.entries));
              ("shortfalls", Obs.Json.Int (List.length (Core.Suite.shortfall suite))) ]
-          @ (match sess with
-            | Some s -> [ ("delta", delta_report_json s) ]
-            | None -> [])
+          @ Option.to_list (Option.map (fun s -> ("delta", delta_report_json s)) sess)
           @ [ ( "algorithms",
               Obs.Json.List
                 (List.map
@@ -687,8 +677,7 @@ let compress_cmd =
     (Cmd.info "compress" ~doc:"Test-suite compression: BASELINE vs SMC vs TOPK")
     Term.(
       const run $ scale_arg $ budget_arg $ seed_arg $ n_rules_arg $ k_arg $ pairs_flag
-      $ incremental_flag $ simulate_edit_arg $ jobs_arg $ cache_dir_arg $ trace_arg
-      $ json_arg)
+      $ simulate_edit_arg $ jobs_arg $ cache_dir_arg $ trace_arg $ json_arg)
 
 (* ------------------------------------------------------------------ *)
 (* qtr validate                                                        *)
@@ -698,14 +687,34 @@ let validate_cmd =
   let inject =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some (rule_name Core.Faults.names)) None
       & info [ "inject" ] ~docv:"RULE"
           ~doc:
-            "Inject the buggy variant of RULE (one of the Faults registry) before \
-             validating.")
+            ("Inject the buggy variant of RULE and target RULE alone; RULE is one of "
+            ^ String.concat ", " Core.Faults.names ^ "."))
   in
-  let run scale budget seed n k inject incremental jobs cache_dir trace =
+  let corpus =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "corpus" ] ~docv:"DIR"
+          ~doc:
+            "Persist every minimized reproducer (SQL + JSON metadata) into $(docv), \
+             one case per bug signature; re-execute later with $(b,qtr replay).")
+  in
+  let max_checks =
+    Arg.(
+      value & opt int 400
+      & info [ "max-checks" ] ~docv:"N"
+          ~doc:"Oracle-evaluation budget per bug during delta reduction.")
+  in
+  let run scale budget seed n k inject corpus max_checks jobs cache_dir trace json =
     with_telemetry trace @@ fun () ->
+    if json then begin
+      Obs.Metrics.set_enabled true;
+      Obs.Profile.enable ()
+    end;
+    let t0 = Obs.Clock.now_ns () in
     let pool = pool_of jobs in
     let rules_override = Option.map Core.Faults.inject inject in
     let fw = make_fw ?rules:rules_override scale budget in
@@ -718,50 +727,109 @@ let validate_cmd =
     in
     let targets = List.map (fun r -> Core.Suite.Single r) rules in
     (* An injected fault changes the victim's fingerprint (its variant
-       carries a distinct version tag), so an incremental validate after
-       a clean one regenerates exactly the slices the fault can reach. *)
+       carries a distinct version tag), so a validate after a clean one
+       over the same cache dir regenerates exactly the slices the fault
+       can reach. *)
     let desc =
       Printf.sprintf "validate|seed=%d|n=%d|k=%d|inject=%s|budget=%d" seed n k
         (Option.value inject ~default:"-")
         budget
     in
-    let sess = incr_session ~incremental ~disk ~desc fw in
-    Printf.printf "generating suite: %d rules x k=%d...\n%!" (List.length targets) k;
-    let suite =
-      match sess with
-      | Some s -> Core.Incr.generate ~extra_ops:2 ~pool s g ~targets ~k
-      | None -> Core.Suite.generate ~extra_ops:2 ~pool fw g ~targets ~k
-    in
-    let sol =
-      match sess with
-      | None -> Core.Compress.topk ~pool ?disk fw suite
-      | Some s ->
-        let ec =
-          Core.Compress.edge_costs ?disk ~warm_edges:(Core.Incr.warm_edges s) fw
-            suite
-        in
-        let sol = Core.Compress.topk ~pool ~ec fw suite in
-        Core.Incr.note_matrix s ec;
-        if not (Core.Incr.finish s) then
-          Printf.eprintf "warning: manifest write failed\n";
-        sol
-    in
-    Option.iter print_delta_summary sess;
-    List.iter
-      (fun (t, d) ->
-        Printf.printf "warning: target %s under-covered (missing %d of k=%d)\n%!"
-          (Core.Suite.target_name t) d k)
-      sol.under_covered;
+    if not json then
+      Printf.printf "generating suite: %d rules x k=%d...\n%!" (List.length targets) k;
+    let sess, suite, ec = campaign ~pool ~disk ~desc fw g ~targets ~k in
+    let baseline = Core.Compress.baseline ~pool ~ec fw suite in
+    let sol = Core.Compress.topk ~pool ~ec fw suite in
+    save_manifest sess ec;
+    if not json then begin
+      Option.iter print_delta_summary sess;
+      List.iter
+        (fun (t, d) ->
+          Printf.printf "warning: target %s under-covered (missing %d of k=%d)\n%!"
+            (Core.Suite.target_name t) d k)
+        sol.under_covered
+    end;
     let report = Core.Correctness.run ~pool fw suite sol in
-    Format.printf "%a@." Core.Correctness.pp_report report;
+    if not json then Format.printf "%a@." Core.Correctness.pp_report report;
+    let triaged = Triage.Pipeline.triage ~max_checks ~pool fw report in
+    let written =
+      Option.map
+        (fun dir ->
+          match
+            Triage.Pipeline.save_corpus ~dir ~catalog:(Triage.Corpus.Tpch scale) ~budget
+              ?fault:inject (Core.Framework.catalog fw) triaged
+          with
+          | Ok paths -> (dir, List.length paths)
+          | Error e ->
+            Printf.eprintf "%s\n" e;
+            exit 1)
+        corpus
+    in
+    let wall_s = Obs.Clock.ns_between t0 (Obs.Clock.now_ns ()) /. 1e9 in
+    if json then begin
+      let shortfalls = List.length (Core.Suite.shortfall suite) in
+      let ratio =
+        if baseline.total_cost <= 0.0 then 1.0
+        else sol.total_cost /. baseline.total_cost
+      in
+      print_endline
+        (Obs.Json.to_string
+           (Obs.Json.Obj
+              ([ ("targets", Obs.Json.Int (List.length targets));
+                 ("k", Obs.Json.Int k);
+                 ("jobs", Obs.Json.Int (Par.Pool.jobs pool));
+                 ( "fault",
+                   match inject with
+                   | None -> Obs.Json.Null
+                   | Some r -> Obs.Json.String r );
+                 ("wall_seconds", Obs.Json.Float wall_s);
+                 ( "coverage",
+                   Obs.Json.Obj
+                     [ ("fully_covered", Obs.Json.Int (List.length targets - shortfalls));
+                       ("shortfalls", Obs.Json.Int shortfalls);
+                       ("distinct_queries", Obs.Json.Int (Array.length suite.entries)) ]
+                 );
+                 ( "compression",
+                   Obs.Json.Obj
+                     [ ("baseline_cost", Obs.Json.Float baseline.total_cost);
+                       ("topk_cost", Obs.Json.Float sol.total_cost);
+                       ("cost_ratio", Obs.Json.Float ratio);
+                       ("invocations", Obs.Json.Int sol.invocations);
+                       ("under_covered", Obs.Json.Int (List.length sol.under_covered)) ]
+                 );
+                 ( "validation",
+                   Obs.Json.Obj
+                     [ ("pairs_checked", Obs.Json.Int report.pairs_checked);
+                       ("executions", Obs.Json.Int report.executions);
+                       ("skipped_identical", Obs.Json.Int report.skipped_identical);
+                       ("bugs", Obs.Json.Int (List.length report.bugs));
+                       ("errors", Obs.Json.Int (List.length report.errors)) ] );
+                 ("triage", Triage.Pipeline.report_json triaged) ]
+              @ Option.to_list (Option.map (fun s -> ("delta", delta_report_json s)) sess)
+              @ [ ("profile", Obs.Profile.to_json ());
+                  ("pool", pool_utilization_json ());
+                  ("result_cache", cache_attribution_json ());
+                  ("disk_cache", disk_cache_json ());
+                  ("metrics", Obs.Report.metrics_json ()) ])))
+    end
+    else begin
+      if report.bugs <> [] then Format.printf "%a@." Triage.Pipeline.pp_report triaged;
+      Option.iter
+        (fun (dir, n) -> Printf.printf "wrote %d corpus case(s) to %s\n%!" n dir)
+        written
+    end;
     if report.bugs <> [] then exit 1
   in
   Cmd.v
     (Cmd.info "validate"
-       ~doc:"Execute a compressed correctness suite (optionally with a fault injected)")
+       ~doc:
+         "The correctness campaign: generate a suite, compress it with TOPK, execute \
+          Plan(q) against Plan(q, not r), then delta-reduce every bug to a minimal \
+          reproducer, dedup by signature, and optionally persist the regression \
+          corpus; exits 1 when any bug is found")
     Term.(
       const run $ scale_arg $ budget_arg $ seed_arg $ n_rules_arg $ k_arg $ inject
-      $ incremental_flag $ jobs_arg $ cache_dir_arg $ trace_arg)
+      $ corpus $ max_checks $ jobs_arg $ cache_dir_arg $ trace_arg $ json_arg)
 
 (* ------------------------------------------------------------------ *)
 (* qtr delta                                                           *)
@@ -807,7 +875,7 @@ let delta_cmd =
     end
     else if not p.manifest_found then
       print_endline
-        "no manifest for this configuration — the next --incremental run rebuilds \
+        "no manifest for this configuration — the next --cache-dir run rebuilds \
          cold and writes one"
     else begin
       Printf.printf "manifest: %d rules recorded\n" p.rules_total;
@@ -829,89 +897,10 @@ let delta_cmd =
     (Cmd.info "delta"
        ~doc:
          "Diff the live rule-content fingerprints against the --cache-dir manifest \
-          and report what an --incremental run would reuse, without running anything")
+          and report what a compress run over it would reuse, without running anything")
     Term.(
       const run $ scale_arg $ budget_arg $ seed_arg $ n_rules_arg $ k_arg $ pairs_flag
       $ simulate_edit_arg $ cache_dir_arg $ trace_arg $ json_arg)
-
-(* ------------------------------------------------------------------ *)
-(* qtr reduce                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let reduce_cmd =
-  let inject =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "inject" ] ~docv:"RULE"
-          ~doc:"Inject the buggy variant of RULE (one of the Faults registry).")
-  in
-  let corpus =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "corpus" ] ~docv:"DIR"
-          ~doc:
-            "Persist every minimized reproducer (SQL + JSON metadata) into $(docv), \
-             one case per bug signature; re-execute later with $(b,qtr replay).")
-  in
-  let max_checks =
-    Arg.(
-      value & opt int 400
-      & info [ "max-checks" ] ~docv:"N"
-          ~doc:"Oracle-evaluation budget per bug during delta reduction.")
-  in
-  let run scale budget seed n k inject corpus max_checks jobs cache_dir trace json =
-    with_telemetry trace @@ fun () ->
-    if json then Obs.Metrics.set_enabled true;
-    let pool = pool_of jobs in
-    let rules_override = Option.map Core.Faults.inject inject in
-    let fw = make_fw ?rules:rules_override scale budget in
-    let disk = setup_cache cache_dir (Core.Framework.catalog fw) in
-    let g = Prng.create seed in
-    let rules =
-      match inject with
-      | Some victim -> [ victim ]
-      | None -> List.filteri (fun i _ -> i < n) Optimizer.Rules.names
-    in
-    let targets = List.map (fun r -> Core.Suite.Single r) rules in
-    if not json then
-      Printf.printf "generating suite: %d rules x k=%d...\n%!" (List.length targets) k;
-    let suite = Core.Suite.generate ~extra_ops:2 ~pool fw g ~targets ~k in
-    let sol = Core.Compress.topk ~pool ?disk fw suite in
-    let report = Core.Correctness.run ~pool fw suite sol in
-    if not json then Format.printf "%a@." Core.Correctness.pp_report report;
-    let triaged = Triage.Pipeline.triage ~max_checks ~pool fw report in
-    (match corpus with
-    | None -> ()
-    | Some dir -> (
-      match
-        Triage.Pipeline.save_corpus ~dir ~catalog:(Triage.Corpus.Tpch scale) ~budget
-          ?fault:inject (Core.Framework.catalog fw) triaged
-      with
-      | Ok paths ->
-        if not json then
-          Printf.printf "wrote %d corpus case(s) to %s\n%!" (List.length paths) dir
-      | Error e ->
-        Printf.eprintf "%s\n" e;
-        exit 1));
-    if json then
-      print_endline
-        (Obs.Json.to_string
-           (Obs.Json.Obj
-              [ ("bugs", Obs.Json.Int (List.length report.bugs));
-                ("triage", Triage.Pipeline.report_json triaged);
-                ("metrics", Obs.Report.metrics_json ()) ]))
-    else Format.printf "%a@." Triage.Pipeline.pp_report triaged
-  in
-  Cmd.v
-    (Cmd.info "reduce"
-       ~doc:
-         "Validate, then delta-reduce every bug to a minimal reproducer, dedup by \
-          signature, and optionally persist the regression corpus")
-    Term.(
-      const run $ scale_arg $ budget_arg $ seed_arg $ n_rules_arg $ k_arg $ inject
-      $ corpus $ max_checks $ jobs_arg $ cache_dir_arg $ trace_arg $ json_arg)
 
 (* ------------------------------------------------------------------ *)
 (* qtr replay                                                          *)
@@ -922,7 +911,7 @@ let replay_cmd =
     Arg.(
       required
       & opt (some string) None
-      & info [ "corpus" ] ~docv:"DIR" ~doc:"Corpus directory written by $(b,qtr reduce).")
+      & info [ "corpus" ] ~docv:"DIR" ~doc:"Corpus directory written by $(b,qtr validate --corpus).")
   in
   let reinject =
     Arg.(
@@ -1100,16 +1089,15 @@ let stats_cmd =
                 ("pool", pool_utilization_json ());
                 ("result_cache", cache_attribution_json ()) ]))
     else begin
-      let counter_of = function Some (Obs.Metrics.Counter c) -> c | _ -> 0 in
       let hist_of rule = Obs.Metrics.histogram ~label:rule "optimizer.rule.match_ns" in
       let rows =
         List.map
           (fun (rule, values) ->
             match values with
             | [ a; r; f ] ->
-              let attempts = counter_of a
-              and rewrites = counter_of r
-              and fired = counter_of f in
+              let attempts = counter_cell a
+              and rewrites = counter_cell r
+              and fired = counter_cell f in
               let h = hist_of rule in
               let snap = Obs.Metrics.hist_snapshot h in
               let rate =
@@ -1146,25 +1134,17 @@ let stats_cmd =
             rate mean p95 total)
         rows;
       print_endline (String.make 100 '-');
-      let cval name =
-        match
-          List.find_map
-            (fun (n, l, v) -> if n = name && l = None then Some v else None)
-            (Obs.Metrics.snapshot ())
-        with
-        | Some (Obs.Metrics.Counter c) -> c
-        | _ -> 0
-      in
-      let hits = cval "optimizer.memo.hits" and misses = cval "optimizer.memo.misses" in
+      let hits = Obs.Metrics.counter_total "optimizer.memo.hits" in
+      let misses = Obs.Metrics.counter_total "optimizer.memo.misses" in
       let rate h m =
         if h + m = 0 then 0.0 else 100.0 *. float_of_int h /. float_of_int (h + m)
       in
-      let rw_hits = cval "optimizer.rewrite_memo.hits" in
-      let rw_misses = cval "optimizer.rewrite_memo.misses" in
+      let rw_hits = Obs.Metrics.counter_total "optimizer.rewrite_memo.hits" in
+      let rw_misses = Obs.Metrics.counter_total "optimizer.rewrite_memo.misses" in
       Printf.printf
         "trees explored %d | plan memo hit rate %.1f%% (%d/%d) | budget exhausted \
          on %d/%d queries | optimizer invocations %d\n"
-        (cval "optimizer.explore.trees")
+        (Obs.Metrics.counter_total "optimizer.explore.trees")
         (rate hits misses) hits (hits + misses) !exhausted queries
         (Core.Framework.invocations fw);
       Printf.printf
@@ -1174,8 +1154,8 @@ let stats_cmd =
         (Relalg.Hashcons.misses ())
         (Relalg.Hashcons.hits ())
         (rate rw_hits rw_misses) rw_hits (rw_hits + rw_misses);
-      let ex_hits = cval "executor.result_cache.hits" in
-      let ex_misses = cval "executor.result_cache.misses" in
+      let ex_hits = Obs.Metrics.counter_total "executor.result_cache.hits" in
+      let ex_misses = Obs.Metrics.counter_total "executor.result_cache.misses" in
       (* Mean throughput over every (non-cached) execution, not the
          last run's gauge — a final empty result would read as 0. *)
       let exec_ns =
@@ -1184,7 +1164,7 @@ let stats_cmd =
       in
       let rows_per_sec =
         if exec_ns <= 0.0 then 0.0
-        else float_of_int (cval "executor.rows") *. 1e9 /. exec_ns
+        else float_of_int (Obs.Metrics.counter_total "executor.rows") *. 1e9 /. exec_ns
       in
       Printf.printf
         "executor: mean plan compile %.2f us | %.0f result rows/s | result \
@@ -1251,132 +1231,6 @@ let stats_cmd =
     Term.(
       const run $ scale_arg $ budget_arg $ seed_arg $ queries_arg $ sort_arg $ jobs_arg
       $ folded $ by_domain $ cache_dir_arg $ trace_arg $ json_arg)
-
-(* ------------------------------------------------------------------ *)
-(* qtr report                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let report_cmd =
-  let inject =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "inject" ] ~docv:"RULE"
-          ~doc:
-            "Inject the buggy variant of RULE (one of the Faults registry) so the \
-             validation and triage sections are exercised.")
-  in
-  let run scale budget seed n k inject jobs cache_dir trace json =
-    with_telemetry trace @@ fun () ->
-    Obs.Metrics.set_enabled true;
-    Obs.Profile.enable ();
-    let t0 = Obs.Clock.now_ns () in
-    let pool = pool_of jobs in
-    let rules_override = Option.map Core.Faults.inject inject in
-    let fw = make_fw ?rules:rules_override scale budget in
-    let disk = setup_cache cache_dir (Core.Framework.catalog fw) in
-    let g = Prng.create seed in
-    let rules = List.filteri (fun i _ -> i < n) Optimizer.Rules.names in
-    let targets = List.map (fun r -> Core.Suite.Single r) rules in
-    if not json then
-      Printf.printf "campaign: %d targets x k=%d, scale %g, budget %d, jobs %d%s\n%!"
-        (List.length targets) k scale budget (Par.Pool.jobs pool)
-        (match inject with None -> "" | Some r -> ", fault " ^ r);
-    let suite = Core.Suite.generate ~extra_ops:2 ~pool fw g ~targets ~k in
-    let shortfalls = Core.Suite.shortfall suite in
-    let baseline : Core.Compress.solution = Core.Compress.baseline ~pool ?disk fw suite in
-    let sol : Core.Compress.solution = Core.Compress.topk ~pool ?disk fw suite in
-    let correctness = Core.Correctness.run ~pool fw suite sol in
-    let triaged = Triage.Pipeline.triage ~pool fw correctness in
-    let wall_s = Obs.Clock.ns_between t0 (Obs.Clock.now_ns ()) /. 1e9 in
-    let covered = List.length targets - List.length shortfalls in
-    let ratio =
-      if baseline.total_cost <= 0.0 then 1.0 else sol.total_cost /. baseline.total_cost
-    in
-    if json then
-      print_endline
-        (Obs.Json.to_string
-           (Obs.Json.Obj
-              [ ("targets", Obs.Json.Int (List.length targets));
-                ("k", Obs.Json.Int k);
-                ("jobs", Obs.Json.Int (Par.Pool.jobs pool));
-                ( "fault",
-                  match inject with
-                  | None -> Obs.Json.Null
-                  | Some r -> Obs.Json.String r );
-                ("wall_seconds", Obs.Json.Float wall_s);
-                ( "coverage",
-                  Obs.Json.Obj
-                    [ ("fully_covered", Obs.Json.Int covered);
-                      ("shortfalls", Obs.Json.Int (List.length shortfalls));
-                      ( "distinct_queries",
-                        Obs.Json.Int (Array.length suite.entries) ) ] );
-                ( "compression",
-                  Obs.Json.Obj
-                    [ ("baseline_cost", Obs.Json.Float baseline.total_cost);
-                      ("topk_cost", Obs.Json.Float sol.total_cost);
-                      ("cost_ratio", Obs.Json.Float ratio);
-                      ("invocations", Obs.Json.Int sol.invocations);
-                      ( "under_covered",
-                        Obs.Json.Int (List.length sol.under_covered) ) ] );
-                ( "validation",
-                  Obs.Json.Obj
-                    [ ("pairs_checked", Obs.Json.Int correctness.pairs_checked);
-                      ("executions", Obs.Json.Int correctness.executions);
-                      ( "skipped_identical",
-                        Obs.Json.Int correctness.skipped_identical );
-                      ("bugs", Obs.Json.Int (List.length correctness.bugs));
-                      ("errors", Obs.Json.Int (List.length correctness.errors)) ] );
-                ( "triage",
-                  Obs.Json.Obj
-                    [ ( "distinct_signatures",
-                        Obs.Json.Int (List.length triaged.cases) );
-                      ("duplicates", Obs.Json.Int triaged.duplicates);
-                      ("irreducible", Obs.Json.Int (List.length triaged.irreducible));
-                      ("oracle_checks", Obs.Json.Int triaged.checks);
-                      ("executions", Obs.Json.Int triaged.executions) ] );
-                ("profile", Obs.Profile.to_json ());
-                ("pool", pool_utilization_json ());
-                ("result_cache", cache_attribution_json ());
-                ("disk_cache", disk_cache_json ());
-                ("metrics", Obs.Report.metrics_json ()) ]))
-    else begin
-      Printf.printf
-        "coverage:    %d/%d targets fully covered at k=%d, %d distinct queries\n"
-        covered (List.length targets) k (Array.length suite.entries);
-      Printf.printf
-        "compression: TOPK cost %.1f vs BASELINE %.1f (x%.2f) | %d optimizer \
-         invocations | %d under-covered\n"
-        sol.total_cost baseline.total_cost ratio sol.invocations
-        (List.length sol.under_covered);
-      Printf.printf
-        "validation:  %d pairs checked | %d executed | %d skipped (identical plans) \
-         | %d bug(s) | %d error(s)\n"
-        correctness.pairs_checked correctness.executions correctness.skipped_identical
-        (List.length correctness.bugs)
-        (List.length correctness.errors);
-      Printf.printf
-        "triage:      %d distinct signature(s) | %d duplicate(s) | %d irreducible | \
-         %d oracle checks\n\n"
-        (List.length triaged.cases) triaged.duplicates
-        (List.length triaged.irreducible)
-        triaged.checks;
-      Format.printf "%a@." Obs.Profile.pp ();
-      print_pool_utilization ();
-      print_cache_attribution ();
-      print_disk_cache ();
-      Printf.printf "wall: %.2fs\n" wall_s
-    end
-  in
-  Cmd.v
-    (Cmd.info "report"
-       ~doc:
-         "One-shot campaign summary: generate, compress, validate and triage, then \
-          merge profile, pool utilization, cache attribution, coverage, compression \
-          quality and triage counts into one text or JSON report")
-    Term.(
-      const run $ scale_arg $ budget_arg $ seed_arg $ n_rules_arg $ k_arg $ inject
-      $ jobs_arg $ cache_dir_arg $ trace_arg $ json_arg)
 
 (* ------------------------------------------------------------------ *)
 (* qtr bench-diff                                                      *)
@@ -1708,5 +1562,5 @@ let () =
        (Cmd.group
           (Cmd.info "qtr" ~version:"1.0.0" ~doc)
           [ rules_cmd; optimize_cmd; generate_cmd; coverage_cmd; compress_cmd;
-            validate_cmd; delta_cmd; reduce_cmd; replay_cmd; stats_cmd;
-            report_cmd; discover_cmd; verify_rules_cmd; benchdiff_cmd ]))
+            validate_cmd; delta_cmd; replay_cmd; stats_cmd; discover_cmd;
+            verify_rules_cmd; benchdiff_cmd ]))

@@ -33,16 +33,19 @@ type edge_costs = {
 let matrix_ns = "matrix"
 
 (* The spill key ties a matrix to everything its costs depend on: the
-   catalog (schema + data), the rule set, and the suite's exact queries,
-   targets, and shape (k). Any drift — new seed, new scale, edited rule,
-   regenerated suite — changes the key and the old entry is ignored.
-   Rules contribute their *content fingerprint*, not their name: editing
-   a rule's body under an unchanged name (fault injection, a DSL term
-   edit, a closure version bump) must change the key, or a warm run would
-   serve edge costs computed with the old body. *)
-let matrix_key fw (suite : Suite.t) =
+   catalog (schema + data), the rule set, the suite's exact queries,
+   targets, and shape (k), and the service kind. Any drift — new seed,
+   new scale, edited rule, regenerated suite — changes the key and the
+   old entry is ignored. Rules contribute their *content fingerprint*,
+   not their name: editing a rule's body under an unchanged name (fault
+   injection, a DSL term edit, a closure version bump) must change the
+   key, or a warm run would serve edge costs computed with the old body.
+   Shared and per-edge costs differ once the exploration budget
+   truncates a closure, so the two kinds never serve each other. *)
+let matrix_key ~share fw (suite : Suite.t) =
   let combine h k = ((h * 65599) + k) land max_int in
   let h = Storage.Catalog.content_hash (Framework.catalog fw) in
+  let h = combine h (Bool.to_int share) in
   let h =
     List.fold_left
       (fun h (r : Dsl.Rule.t) -> combine h (Hashtbl.hash r.fingerprint))
@@ -79,7 +82,7 @@ let edge_costs ?(share_exploration = true) ?disk ?(warm_edges = []) fw
     match disk with
     | None -> None
     | Some dc ->
-      let key = matrix_key fw suite in
+      let key = matrix_key ~share:share_exploration fw suite in
       (match
          (Storage.Diskcache.load dc ~ns:matrix_ns ~key
            : ((int * int) * float) array option)
@@ -133,61 +136,73 @@ let record_deps ec query_idx matched =
     Hashtbl.replace ec.deps query_idx
       (List.sort_uniq String.compare (List.rev_append matched prev))
 
-let shared_for ec query_idx =
-  match ec.shared.(query_idx) with
-  | Some r -> r
-  | None ->
-    let r =
-      match Framework.explore_shared ec.fw ec.suite.entries.(query_idx).query with
+(* The one edge computation: query [qi]'s costs for targets [tis], each a
+   filtered re-costing pass over the query's shared exploration (explored
+   here on first use) or, per-edge or when that exploration failed, a full
+   [Cost(q, negated R)] optimization. The column runs under a
+   matched-rule collector (wholly on one domain), so the returned deps
+   are its dependency set: every rule whose body the exploration or a
+   per-call fallback could have consulted. It reads the service and
+   writes nothing, so {!prefetch} can run columns on worker domains;
+   [merge] folds the result in on the calling domain. *)
+let column ec qi tis =
+  Framework.with_matched @@ fun () ->
+  let query = ec.suite.entries.(qi).query in
+  let sh =
+    match ec.shared.(qi) with
+    | Some r -> r
+    | None when ec.share -> (
+      match Framework.explore_shared ec.fw query with
       | Ok sh -> Some sh
-      | Error _ -> None
-    in
-    ec.shared.(query_idx) <- Some r;
-    r
+      | Error _ -> None)
+    | None -> None
+  in
+  let cost_of ti =
+    let disabled = Suite.rules_of ec.targets.(ti) in
+    match
+      match sh with
+      | Some sh -> Framework.shared_cost ec.fw ~disabled sh
+      | None -> Framework.cost ec.fw ~disabled query
+    with
+    | Ok c -> c
+    | Error _ -> Float.infinity
+  in
+  (sh, List.map (fun ti -> (ti, cost_of ti)) tis)
+
+(* [calls] counts distinct edges — the paper's abstract unit of optimizer
+   work (Figure 14) — however an edge is served: a full optimization, a
+   filtered re-costing pass, or a warm cell. The concrete invocation
+   count is [Framework.invocations]. *)
+let merge ec qi ((sh, edges), deps) =
+  if ec.share && ec.shared.(qi) = None then ec.shared.(qi) <- Some sh;
+  record_deps ec qi deps;
+  List.iter
+    (fun (ti, c) ->
+      if not (Hashtbl.mem ec.memo (ti, qi)) then begin
+        ec.calls <- ec.calls + 1;
+        Obs.Metrics.incr ec.computed_c;
+        ec.computed_n <- ec.computed_n + 1;
+        Hashtbl.replace ec.memo (ti, qi) c
+      end)
+    edges
+
+let serve_warm ec p c =
+  ec.calls <- ec.calls + 1;
+  Obs.Metrics.incr ec.disk_served_c;
+  ec.warm_n <- ec.warm_n + 1;
+  Hashtbl.replace ec.memo p c
 
 let edge_cost ec ~target_idx ~query_idx =
-  match Hashtbl.find_opt ec.memo (target_idx, query_idx) with
+  let p = (target_idx, query_idx) in
+  match Hashtbl.find_opt ec.memo p with
   | Some c ->
     Obs.Metrics.incr ec.memo_hit_c;
     c
-  | None -> (
-    (* [calls] counts computed edges — the paper's abstract unit of
-       optimizer work (Figure 14) — regardless of how an edge is served:
-       a full [Cost(q, negated R)] optimization, a filtered re-costing
-       pass over the query's one shared exploration, or a warm edge
-       loaded from a prior run's spilled matrix. The concrete invocation
-       count is [Framework.invocations]. *)
-    ec.calls <- ec.calls + 1;
-    match Hashtbl.find_opt ec.warm (target_idx, query_idx) with
-    | Some c ->
-      Obs.Metrics.incr ec.disk_served_c;
-      ec.warm_n <- ec.warm_n + 1;
-      Hashtbl.replace ec.memo (target_idx, query_idx) c;
-      c
-    | None ->
-      Obs.Metrics.incr ec.computed_c;
-      ec.computed_n <- ec.computed_n + 1;
-      let disabled = Suite.rules_of ec.targets.(target_idx) in
-      let query = ec.suite.entries.(query_idx).query in
-      let c, matched =
-        Framework.with_matched @@ fun () ->
-        let per_call () =
-          match Framework.cost ec.fw ~disabled query with
-          | Ok c -> c
-          | Error _ -> Float.infinity
-        in
-        if ec.share then
-          match shared_for ec query_idx with
-          | Some sh -> (
-            match Framework.shared_cost ec.fw ~disabled sh with
-            | Ok c -> c
-            | Error _ -> Float.infinity)
-          | None -> per_call ()
-        else per_call ()
-      in
-      record_deps ec query_idx matched;
-      Hashtbl.replace ec.memo (target_idx, query_idx) c;
-      c)
+  | None ->
+    (match Hashtbl.find_opt ec.warm p with
+    | Some c -> serve_warm ec p c
+    | None -> merge ec query_idx (column ec query_idx [ target_idx ]));
+    Hashtbl.find ec.memo p
 
 let invocations_used ec = ec.calls
 let computed_edges ec = ec.computed_n
@@ -206,32 +221,22 @@ let column_deps ec =
   List.sort compare (List.of_seq (Hashtbl.to_seq ec.deps))
 
 (* Parallel edge-matrix fill. The pair list is partitioned by query
-   index — one task per query column — so each task owns one query's
-   shared exploration and every edge it computes; tasks share nothing
-   but the (read-only) suite and the framework, whose counters are
-   atomic. Workers return pure results; the merge into [memo]/[shared]/
-   [calls] happens on the calling domain in task order, so the memo
-   contents and the computed-edge count are identical to a sequential
-   fill of the same pairs — [Par.Pool.sequential] is the reference. *)
+   index — one [column] task per query — so each task owns one query's
+   shared exploration and every edge it computes. Warm cells are served
+   on the calling domain without a task; the merge of computed columns
+   happens there too, in task order, so the memo contents and the
+   computed-edge count are identical to a sequential fill of the same
+   pairs — [Par.Pool.sequential] is the reference. *)
 let prefetch ?(pool = Par.Pool.sequential) ec pairs =
   let seen = Hashtbl.create 64 in
   let cols : (int, int list ref) Hashtbl.t = Hashtbl.create 32 in
   let order = ref [] in
   List.iter
-    (fun (ti, qi) ->
-      if
-        (not (Hashtbl.mem ec.memo (ti, qi))) && not (Hashtbl.mem seen (ti, qi))
-      then begin
-        Hashtbl.replace seen (ti, qi) ();
-        match Hashtbl.find_opt ec.warm (ti, qi) with
-        | Some c ->
-          (* Warm edge: merge straight into the memo — no task, no
-             exploration — with the same logical-work accounting a
-             computed edge gets. *)
-          ec.calls <- ec.calls + 1;
-          Obs.Metrics.incr ec.disk_served_c;
-          ec.warm_n <- ec.warm_n + 1;
-          Hashtbl.replace ec.memo (ti, qi) c
+    (fun ((ti, qi) as p) ->
+      if (not (Hashtbl.mem ec.memo p)) && not (Hashtbl.mem seen p) then begin
+        Hashtbl.replace seen p ();
+        match Hashtbl.find_opt ec.warm p with
+        | Some c -> serve_warm ec p c
         | None -> (
           match Hashtbl.find_opt cols qi with
           | Some l -> l := ti :: !l
@@ -240,60 +245,10 @@ let prefetch ?(pool = Par.Pool.sequential) ec pairs =
             order := qi :: !order)
       end)
     pairs;
-  let columns =
-    List.rev_map (fun qi -> (qi, List.rev !(Hashtbl.find cols qi))) !order
-  in
-  let results =
-    Par.Pool.map_list pool
-      (fun (qi, tis) ->
-        (* The whole column computes under a matched-rule collector (the
-           task runs wholly on one domain), so the returned deps are the
-           column's dependency set: every rule whose body the shared
-           exploration or a per-call fallback could have consulted. *)
-        let (sh, edges), deps =
-          Framework.with_matched @@ fun () ->
-          let query = ec.suite.entries.(qi).query in
-          let sh =
-            if ec.share then
-              match ec.shared.(qi) with
-              | Some r -> r
-              | None -> (
-                match Framework.explore_shared ec.fw query with
-                | Ok sh -> Some sh
-                | Error _ -> None)
-            else None
-          in
-          let cost_of ti =
-            let disabled = Suite.rules_of ec.targets.(ti) in
-            match sh with
-            | Some sh -> (
-              match Framework.shared_cost ec.fw ~disabled sh with
-              | Ok c -> c
-              | Error _ -> Float.infinity)
-            | None -> (
-              match Framework.cost ec.fw ~disabled query with
-              | Ok c -> c
-              | Error _ -> Float.infinity)
-          in
-          (sh, List.map (fun ti -> (ti, cost_of ti)) tis)
-        in
-        (qi, sh, edges, deps))
-      columns
-  in
-  List.iter
-    (fun (qi, sh, edges, deps) ->
-      if ec.share && ec.shared.(qi) = None then ec.shared.(qi) <- Some sh;
-      record_deps ec qi deps;
-      List.iter
-        (fun (ti, c) ->
-          if not (Hashtbl.mem ec.memo (ti, qi)) then begin
-            ec.calls <- ec.calls + 1;
-            Obs.Metrics.incr ec.computed_c;
-            ec.computed_n <- ec.computed_n + 1;
-            Hashtbl.replace ec.memo (ti, qi) c
-          end)
-        edges)
-    results
+  Par.Pool.map_list pool
+    (fun (qi, tis) -> (qi, column ec qi tis))
+    (List.rev_map (fun qi -> (qi, List.rev !(Hashtbl.find cols qi))) !order)
+  |> List.iter (fun (qi, col) -> merge ec qi col)
 
 type solution = {
   assignment : (Suite.target * (int * float) list) list;
@@ -361,23 +316,28 @@ let solution_cost (suite : Suite.t) sol =
 (* without sharing Plan(q) runs across targets.                         *)
 (* ------------------------------------------------------------------ *)
 
-let service ?share_exploration ?disk ?ec fw suite =
-  match ec with
-  | Some ec -> ec
-  | None -> edge_costs ?share_exploration ?disk fw suite
+let service ?ec fw suite =
+  match ec with Some ec -> ec | None -> edge_costs fw suite
 
-let baseline ?share_exploration ?pool ?disk ?ec fw (suite : Suite.t) =
+(* An algorithm's [invocations] are the distinct edges it evaluated,
+   however they were served, so algorithms sharing one service (or a
+   manifest-warmed one) report what fresh services would. *)
+let distinct pairs = List.length (List.sort_uniq compare pairs)
+
+let baseline ?pool ?ec fw (suite : Suite.t) =
   algo_span "baseline" suite @@ fun () ->
-  let ec = service ?share_exploration ?disk ?ec fw suite in
+  let ec = service ?ec fw suite in
   let tindex =
     List.mapi (fun i (t, _) -> (t, i)) suite.per_target
   in
-  prefetch ?pool ec
-    (List.concat_map
-       (fun (target, indices) ->
-         let ti = List.assoc target tindex in
-         List.map (fun q -> (ti, q)) indices)
-       suite.per_target);
+  let pairs =
+    List.concat_map
+      (fun (target, indices) ->
+        let ti = List.assoc target tindex in
+        List.map (fun q -> (ti, q)) indices)
+      suite.per_target
+  in
+  prefetch ?pool ec pairs;
   let assignment =
     List.map
       (fun (target, indices) ->
@@ -395,17 +355,16 @@ let baseline ?share_exploration ?pool ?disk ?ec fw (suite : Suite.t) =
           acc picks)
       0.0 assignment
   in
-  save_matrix ec;
   { assignment;
     total_cost = total;
-    invocations = invocations_used ec;
+    invocations = distinct pairs;
     under_covered = under_coverage suite assignment }
 
 (* ------------------------------------------------------------------ *)
 (* Greedy Constrained Set-Multicover (Figure 5)                         *)
 (* ------------------------------------------------------------------ *)
 
-let smc ?share_exploration ?pool ?disk ?ec fw (suite : Suite.t) =
+let smc ?pool ?ec fw (suite : Suite.t) =
   algo_span "smc" suite @@ fun () ->
   let iterations_c = Obs.Metrics.counter "compress.smc.iterations" in
   let targets = Array.of_list suite.targets in
@@ -456,13 +415,13 @@ let smc ?share_exploration ?pool ?disk ?ec fw (suite : Suite.t) =
   done;
   (* SMC never looks at edge costs while choosing; they are computed once
      afterwards to evaluate the solution, as when executing it. *)
-  let ec = service ?share_exploration ?disk ?ec fw suite in
-  prefetch ?pool ec
-    (List.concat
-       (Array.to_list
-          (Array.mapi
-             (fun ti picks -> List.rev_map (fun q -> (ti, q)) picks)
-             assignment)));
+  let ec = service ?ec fw suite in
+  let pairs =
+    List.concat
+      (Array.to_list
+         (Array.mapi (fun ti picks -> List.rev_map (fun q -> (ti, q)) picks) assignment))
+  in
+  prefetch ?pool ec pairs;
   let assignment =
     Array.to_list
       (Array.mapi
@@ -473,11 +432,10 @@ let smc ?share_exploration ?pool ?disk ?ec fw (suite : Suite.t) =
                picks ))
          assignment)
   in
-  save_matrix ec;
   let sol =
     { assignment;
       total_cost = 0.0;
-      invocations = invocations_used ec;
+      invocations = distinct pairs;
       under_covered = under_coverage suite assignment }
   in
   { sol with total_cost = solution_cost suite sol }
@@ -511,24 +469,29 @@ module Kqueue = struct
   let contents q = List.rev_map (fun (c, i) -> (i, c)) q.items
 end
 
-let topk ?(exploit_monotonicity = false) ?share_exploration ?pool ?disk ?ec fw
-    (suite : Suite.t) =
+let topk ?(exploit_monotonicity = false) ?pool ?ec fw (suite : Suite.t) =
   algo_span (if exploit_monotonicity then "topk_mono" else "topk") suite @@ fun () ->
   let pruned_c = Obs.Metrics.counter "compress.topk.pruned_edges" in
-  let ec = service ?share_exploration ?disk ?ec fw suite in
+  let ec = service ?ec fw suite in
   let targets = Array.of_list suite.targets in
   (* The naive variant computes every (target, covering query) edge, so
      the whole matrix can be prefetched in parallel. The monotonicity
      variant stays sequential: which edges it computes depends on the
-     costs of earlier ones (that adaptivity is the point of §5.3.1). *)
-  if not exploit_monotonicity then
-    prefetch ?pool ec
-      (List.concat
-         (Array.to_list
-            (Array.mapi
-               (fun ti target ->
-                 List.map (fun q -> (ti, q)) (Suite.covering suite target))
-               targets)));
+     costs of earlier ones (that adaptivity is the point of §5.3.1). Its
+     scan visits each (target, covering query) edge at most once, so a
+     running count is its distinct-edge tally. *)
+  let evaluated = ref 0 in
+  if not exploit_monotonicity then begin
+    let pairs =
+      List.concat
+        (Array.to_list
+           (Array.mapi
+              (fun ti target -> List.map (fun q -> (ti, q)) (Suite.covering suite target))
+              targets))
+    in
+    prefetch ?pool ec pairs;
+    evaluated := distinct pairs
+  end;
   let assignment =
     Array.to_list
       (Array.mapi
@@ -557,6 +520,7 @@ let topk ?(exploit_monotonicity = false) ?share_exploration ?pool ?disk ?ec fw
                      Obs.Metrics.add pruned_c (1 + List.length rest)
                  end
                  else begin
+                   incr evaluated;
                    Kqueue.push queue (edge_cost ec ~target_idx:ti ~query_idx:q) q;
                    scan rest
                  end
@@ -570,11 +534,10 @@ let topk ?(exploit_monotonicity = false) ?share_exploration ?pool ?disk ?ec fw
            (target, Kqueue.contents queue))
          targets)
   in
-  save_matrix ec;
   let sol =
     { assignment;
       total_cost = 0.0;
-      invocations = invocations_used ec;
+      invocations = !evaluated;
       under_covered = under_coverage suite assignment }
   in
   { sol with total_cost = solution_cost suite sol }

@@ -36,9 +36,11 @@ val edge_costs :
   edge_costs
 (** With [?disk], the service warm-starts from a previously spilled
     edge-cost matrix, keyed by a hash of the catalog contents, the
-    rule-content fingerprints, and the suite (queries, targets, [k],
-    per-target picks) — any drift, including editing a rule's body under
-    an unchanged name, invalidates the entry. [?warm_edges] injects
+    rule-content fingerprints, the suite (queries, targets, [k],
+    per-target picks) and the service kind ([share_exploration]) — any
+    drift, including editing a rule's body under an unchanged name,
+    invalidates the entry, and shared and per-edge services never serve
+    each other's costs. [?warm_edges] injects
     additional warm cells (the incremental layer's manifest-surviving
     slice, already re-indexed to this suite). A warm-served edge still
     counts into {!invocations_used} (so warm and cold runs produce
@@ -51,8 +53,8 @@ val edge_cost : edge_costs -> target_idx:int -> query_idx:int -> float
 
 val save_matrix : edge_costs -> unit
 (** Spill every known edge (computed this run or inherited warm) back to
-    the attached disk cache; no-op without [?disk]. The algorithms below
-    call this before returning. *)
+    the attached disk cache; no-op without [?disk]. A caller that attaches
+    a disk calls this once, after the last algorithm ran on the service. *)
 
 val prefetch : ?pool:Par.Pool.t -> edge_costs -> (int * int) list -> unit
 (** [prefetch ?pool ec pairs] fills the memo for the given
@@ -94,7 +96,9 @@ type solution = {
       (** per target: the chosen (query index, edge cost) pairs *)
   total_cost : float;
   invocations : int;
-      (** optimizer invocations consumed building the solution *)
+      (** distinct edges the algorithm evaluated, however the service
+          served them — the same over a shared or warm service as over a
+          fresh one *)
   under_covered : (Suite.target * int) list;
       (** targets assigned fewer than [k] queries, with the deficit
           [k - assigned] — the suite has no [k] covering queries for
@@ -104,38 +108,19 @@ type solution = {
 
 (** The optional [pool] parallelizes the edge-cost matrix fill via
     {!prefetch}; solutions are identical for any pool size. The optional
-    [disk] warm-starts the edge-cost service from a spilled matrix and
-    spills the filled matrix back on completion (see {!edge_costs});
-    solutions are identical warm or cold. The optional [ec] supplies a
-    pre-built service instead (overriding [share_exploration]/[disk]) —
-    the incremental layer shares one manifest-warmed service across
-    algorithms and snapshots it afterwards; note a shared service's
-    [calls] accumulate, so each solution's [invocations] then reports
-    the cumulative count at the time that algorithm finished. *)
+    [ec] supplies the service — one shared across algorithms computes
+    each edge once, and may be warm (disk- or manifest-served); solutions
+    are identical either way. Without it each call builds a fresh shared
+    exploration service. *)
 
 val baseline :
-  ?share_exploration:bool ->
-  ?pool:Par.Pool.t ->
-  ?disk:Storage.Diskcache.t ->
-  ?ec:edge_costs ->
-  Framework.t ->
-  Suite.t ->
-  solution
+  ?pool:Par.Pool.t -> ?ec:edge_costs -> Framework.t -> Suite.t -> solution
 
-val smc :
-  ?share_exploration:bool ->
-  ?pool:Par.Pool.t ->
-  ?disk:Storage.Diskcache.t ->
-  ?ec:edge_costs ->
-  Framework.t ->
-  Suite.t ->
-  solution
+val smc : ?pool:Par.Pool.t -> ?ec:edge_costs -> Framework.t -> Suite.t -> solution
 
 val topk :
   ?exploit_monotonicity:bool ->
-  ?share_exploration:bool ->
   ?pool:Par.Pool.t ->
-  ?disk:Storage.Diskcache.t ->
   ?ec:edge_costs ->
   Framework.t ->
   Suite.t ->

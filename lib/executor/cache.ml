@@ -38,8 +38,8 @@ let disk_store_c = Obs.Metrics.counter "executor.result_cache.disk_stores"
 
 (* Per-site attribution: the same totals, additionally keyed by which
    caller asked (validate vs triage-oracle vs replay ...), so `qtr
-   stats`/`qtr report` can say who benefits from the cache and who only
-   fills it. Sites are a small closed set of short strings, so the
+   stats`/`qtr validate --json` can say who benefits from the cache and
+   who only fills it. Sites are a small closed set of short strings, so the
    labeled-counter registry stays tiny. *)
 let site_hit site = Obs.Metrics.counter ~label:site "executor.result_cache.hits"
 let site_miss site = Obs.Metrics.counter ~label:site "executor.result_cache.misses"

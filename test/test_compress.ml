@@ -95,12 +95,18 @@ let test_warm_matrix_identical () =
       (Printf.sprintf "qtr-test-matrix-%d" (Unix.getpid ()))
   in
   let dc = Storage.Diskcache.create ~dir () in
+  let run () =
+    let ec = C.edge_costs ~disk:dc fw suite6 in
+    let sol = C.topk ~ec fw suite6 in
+    C.save_matrix ec;
+    sol
+  in
   let i0 = F.invocations fw in
-  let cold = C.topk ~disk:dc fw suite6 in
+  let cold = run () in
   let i1 = F.invocations fw in
   check bool_t "cold run spills the matrix" true
     (Storage.Diskcache.entries dc ~ns:"matrix" > 0);
-  let warm = C.topk ~disk:dc fw suite6 in
+  let warm = run () in
   let i2 = F.invocations fw in
   check bool_t "identical assignment" true (cold.assignment = warm.assignment);
   check bool_t "identical cost" true (cold.total_cost = warm.total_cost);
@@ -197,8 +203,13 @@ let test_shared_vs_per_call_edges () =
      the minimum over a subset of the very closure that produced the node
      cost, so edge >= node always; both services stay finite on
      logical-only targets; and the abstract edge accounting matches. *)
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "qtr-test-kind-%d" (Unix.getpid ()))
+  in
+  let dc = Storage.Diskcache.create ~dir () in
   let shared = C.edge_costs fw suite6 in
-  let per_call = C.edge_costs ~share_exploration:false fw suite6 in
+  let per_call = C.edge_costs ~share_exploration:false ~disk:dc fw suite6 in
   let nt = List.length suite6.targets in
   let nq = Array.length suite6.entries in
   for ti = 0 to nt - 1 do
@@ -216,7 +227,23 @@ let test_shared_vs_per_call_edges () =
     done
   done;
   check int_t "same edge accounting" (C.invocations_used per_call)
-    (C.invocations_used shared)
+    (C.invocations_used shared);
+  (* The spill key includes the service kind: the two kinds' costs differ
+     under truncation, so a shared service must not be served the spilled
+     per-edge matrix. *)
+  C.save_matrix per_call;
+  let shared_warm = C.edge_costs ~disk:dc fw suite6 in
+  for ti = 0 to nt - 1 do
+    for q = 0 to nq - 1 do
+      check bool_t
+        (Printf.sprintf "edge (%d,%d) shared cost, not per-edge" ti q)
+        true
+        (C.edge_cost shared_warm ~target_idx:ti ~query_idx:q
+        = C.edge_cost shared ~target_idx:ti ~query_idx:q)
+    done
+  done;
+  check int_t "no per-edge cell served to a shared service" 0
+    (C.warm_served_edges shared_warm)
 
 let test_monotonicity_sound_and_cheaper () =
   (* Figure 14's two claims: identical solution quality, fewer optimizer
@@ -227,7 +254,24 @@ let test_monotonicity_sound_and_cheaper () =
     (Printf.sprintf "fewer invocations (%d <= %d)" topk_mono_sol.invocations
        topk_sol.invocations)
     true
-    (topk_mono_sol.invocations <= topk_sol.invocations)
+    (topk_mono_sol.invocations <= topk_sol.invocations);
+  (* The same four algorithms over one shared service, most adaptive
+     first, must report what they report over fresh services: each
+     solution's invocations count its own distinct edges, not the
+     service's running total. *)
+  let ec = C.edge_costs fw suite6 in
+  let mono = C.topk ~exploit_monotonicity:true ~ec fw suite6 in
+  let naive = C.topk ~ec fw suite6 in
+  let smc = C.smc ~ec fw suite6 in
+  let base = C.baseline ~ec fw suite6 in
+  List.iter
+    (fun (name, (fresh : C.solution), (shared : C.solution)) ->
+      check int_t (name ^ " invocations over a shared service") fresh.invocations
+        shared.invocations;
+      check bool_t (name ^ " solution over a shared service") true
+        (fresh.assignment = shared.assignment && fresh.total_cost = shared.total_cost))
+    [ ("topk_mono", topk_mono_sol, mono); ("topk", topk_sol, naive);
+      ("smc", smc_sol, smc); ("baseline", baseline_sol, base) ]
 
 let test_compression_beats_baseline () =
   (* Figure 11's claim: shared execution is dramatically cheaper. *)
