@@ -938,30 +938,23 @@ let parallel_bench ~full ~jobs_list =
   let instr_s = now () -. t1 in
   Obs.Profile.disable ();
   Obs.Metrics.set_enabled false;
-  let wlabel w = Printf.sprintf "w%d" w in
-  let bucket name w =
-    float_of_int (Obs.Metrics.counter_total ~label:(wlabel w) name)
-  in
-  let workers =
-    List.init attr_jobs (fun w ->
-        ( w,
-          bucket "par.pool.busy_ns" w,
-          bucket "par.pool.steal_ns" w,
-          bucket "par.pool.idle_ns" w,
-          bucket "par.pool.merge_wait_ns" w,
-          bucket "par.pool.wall_ns" w,
-          Obs.Metrics.counter_total ~label:(wlabel w) "par.pool.tasks" ))
-  in
+  let workers = (Obs.Report.snapshot ()).pool in
   let covered_pool =
-    List.fold_left (fun acc (_, b, s, i, m, _, _) -> acc +. b +. s +. i +. m) 0.0
-      workers
+    List.fold_left
+      (fun acc (u : Obs.Report.worker) ->
+        acc +. u.busy_ns +. u.steal_ns +. u.idle_ns +. u.merge_wait_ns)
+      0.0 workers
   in
   let wall_ns = instr_s *. 1e9 in
   (* Outside parallel maps only the calling domain runs (helpers do not
      exist); that remainder is covered by the profiler's spans on domain
      0. Time budget = wall x jobs, so helper non-existence during
      sequential stretches is the honest uncovered residue. *)
-  let wall_in_maps = bucket "par.pool.wall_ns" 0 in
+  let wall_in_maps =
+    match List.find_opt (fun (u : Obs.Report.worker) -> u.worker = "w0") workers with
+    | Some u -> u.wall_ns
+    | None -> 0.0
+  in
   let seq_rem = Float.max 0.0 (wall_ns -. wall_in_maps) in
   let coverage =
     Float.min 1.0
@@ -973,11 +966,11 @@ let parallel_bench ~full ~jobs_list =
      fully instrumented %.2fs\n"
     attr_jobs plain_s prof_s (100.0 *. overhead) instr_s;
   List.iter
-    (fun (w, b, s, i, m, wall, tasks) ->
-      let p x = 100.0 *. x /. Float.max 1e-9 wall in
+    (fun (u : Obs.Report.worker) ->
+      let p x = 100.0 *. x /. Float.max 1e-9 u.wall_ns in
       Printf.printf
-        "    w%d: busy %5.1f%% steal %4.1f%% idle %5.1f%% merge %4.1f%% (%d tasks)\n"
-        w (p b) (p s) (p i) (p m) tasks)
+        "    %s: busy %5.1f%% steal %4.1f%% idle %5.1f%% merge %4.1f%% (%d tasks)\n"
+        u.worker (p u.busy_ns) (p u.steal_ns) (p u.idle_ns) (p u.merge_wait_ns) u.tasks)
     workers;
   Printf.printf "  named buckets cover %.1f%% of wall x %d domains\n%!"
     (100.0 *. coverage) attr_jobs;
@@ -991,31 +984,11 @@ let parallel_bench ~full ~jobs_list =
         ("coverage", Obs.Json.Float coverage);
         ("wall_in_maps_ns", Obs.Json.Float wall_in_maps);
         ("sequential_ns", Obs.Json.Float seq_rem);
-        ( "workers",
-          Obs.Json.List
-            (List.map
-               (fun (w, b, s, i, m, wall, tasks) ->
-                 Obs.Json.Obj
-                   [ ("worker", Obs.Json.Int w);
-                     ("busy_ns", Obs.Json.Float b);
-                     ("steal_ns", Obs.Json.Float s);
-                     ("idle_ns", Obs.Json.Float i);
-                     ("merge_wait_ns", Obs.Json.Float m);
-                     ("wall_ns", Obs.Json.Float wall);
-                     ("tasks", Obs.Json.Int tasks) ])
-               workers) );
+        ("workers", Obs.Json.List (List.map Obs.Report.worker_json workers));
         ( "profile_top",
           Obs.Json.List
-            (List.filteri
-               (fun i _ -> i < 8)
-               (List.map
-                  (fun (r : Obs.Profile.row) ->
-                    Obs.Json.Obj
-                      [ ("span", Obs.Json.String r.name);
-                        ("count", Obs.Json.Int r.count);
-                        ("self_ns", Obs.Json.Float r.self_ns);
-                        ("total_ns", Obs.Json.Float r.total_ns) ])
-                  (Obs.Profile.rows ()))) ) ]
+            (List.filteri (fun i _ -> i < 8)
+               (List.map Obs.Profile.row_json (Obs.Profile.rows ()))) ) ]
   in
   detail "parallel"
     (Obs.Json.Obj

@@ -205,152 +205,14 @@ let make_fw ?rules scale budget =
   let options = { Optimizer.Engine.default_options with max_trees = budget } in
   Core.Framework.create ~options ?rules cat
 
-(* ------------------------------------------------------------------ *)
-(* Attribution rendering (shared by stats / validate)                 *)
-(* ------------------------------------------------------------------ *)
+(* The telemetry block of [optimize], [stats] and [validate]: metrics and
+   the span profiler are on for the whole run, and the report nests
+   under one key beside the command's own fields. *)
+let enable_report () =
+  Obs.Metrics.set_enabled true;
+  Obs.Profile.enable ()
 
-let counter_cell = function Some (Obs.Metrics.Counter c) -> c | _ -> 0
-
-(* Per-worker wall-time decomposition accumulated by [Par.Pool] maps
-   since metrics were enabled. Rows with zero wall (labels belonging to
-   other metric families) are dropped. *)
-type worker_util = {
-  wu_worker : string;
-  wu_busy : float;
-  wu_steal : float;
-  wu_idle : float;
-  wu_merge : float;
-  wu_wall : float;
-  wu_tasks : int;
-}
-
-let pool_utilization () =
-  Obs.Report.label_table
-    [ "par.pool.busy_ns"; "par.pool.steal_ns"; "par.pool.idle_ns";
-      "par.pool.merge_wait_ns"; "par.pool.wall_ns"; "par.pool.tasks" ]
-  |> List.filter_map (fun (label, values) ->
-         match values with
-         | [ b; s; i; m; w; t ] ->
-           let wall = float_of_int (counter_cell w) in
-           if wall <= 0.0 && counter_cell t = 0 then None
-           else
-             Some
-               { wu_worker = label;
-                 wu_busy = float_of_int (counter_cell b);
-                 wu_steal = float_of_int (counter_cell s);
-                 wu_idle = float_of_int (counter_cell i);
-                 wu_merge = float_of_int (counter_cell m);
-                 wu_wall = wall;
-                 wu_tasks = counter_cell t }
-         | _ -> None)
-  |> List.sort (fun a b ->
-         let num u =
-           try int_of_string (String.sub u.wu_worker 1 (String.length u.wu_worker - 1))
-           with _ -> max_int
-         in
-         compare (num a) (num b))
-
-let cache_attribution () =
-  Obs.Report.label_table
-    [ "executor.result_cache.hits"; "executor.result_cache.misses" ]
-  |> List.filter_map (fun (site, values) ->
-         match values with
-         | [ h; m ] ->
-           let hits = counter_cell h and misses = counter_cell m in
-           if hits + misses = 0 then None else Some (site, hits, misses)
-         | _ -> None)
-
-let pct part whole = if whole <= 0.0 then 0.0 else 100.0 *. part /. whole
-
-(* Below this the busy/steal/idle shares are quotients of measurement
-   noise — the jobs=1 inline path runs tasks on the caller with
-   essentially no tracked wall, and 100%/0% splits there just mislead. *)
-let wall_noise_ns = 1e4
-
-let print_pool_utilization () =
-  match pool_utilization () with
-  | [] -> print_endline "pool: no parallel maps recorded (run with --jobs 2+)"
-  | rows ->
-    List.iter
-      (fun u ->
-        if u.wu_wall < wall_noise_ns then
-          Printf.printf
-            "pool %-4s utilization n/a (inline execution, wall ~0) | %5d tasks\n"
-            u.wu_worker u.wu_tasks
-        else
-          Printf.printf
-            "pool %-4s busy %5.1f%% | steal %4.1f%% | idle %5.1f%% | merge %4.1f%% | \
-             %5d tasks | wall %.2fs\n"
-            u.wu_worker (pct u.wu_busy u.wu_wall) (pct u.wu_steal u.wu_wall)
-            (pct u.wu_idle u.wu_wall) (pct u.wu_merge u.wu_wall) u.wu_tasks
-            (u.wu_wall /. 1e9))
-      rows
-
-let print_cache_attribution () =
-  match cache_attribution () with
-  | [] -> ()
-  | rows ->
-    let cells =
-      List.map
-        (fun (site, h, m) ->
-          Printf.sprintf "%s %d/%d (%.0f%%)" site h (h + m)
-            (pct (float_of_int h) (float_of_int (h + m))))
-        rows
-    in
-    Printf.printf "result cache by site (hits/lookups): %s\n"
-      (String.concat " | " cells)
-
-(* Warm-start traffic: the result-cache disk tier plus the warm
-   edge-cost cells (a spilled matrix or manifest cells). Silent when no
-   --cache-dir was given (all zeros). *)
-let print_disk_cache () =
-  let c = Obs.Metrics.counter_total in
-  let rh = c "executor.result_cache.disk_hits" in
-  let rm = c "executor.result_cache.disk_misses" in
-  let rs = c "executor.result_cache.disk_stores" in
-  let loaded = c "compress.matrix.disk_edges_loaded" in
-  let served = c "compress.matrix.disk_served" in
-  if rh + rm + rs + loaded + served > 0 then
-    Printf.printf
-      "disk cache: results %d hit / %d miss / %d stored | matrix %d edge(s) loaded, \
-       %d served warm\n"
-      rh rm rs loaded served
-
-let disk_cache_json () =
-  Obs.Json.Obj
-    (List.map
-       (fun (key, counter) -> (key, Obs.Json.Int (Obs.Metrics.counter_total counter)))
-       [ ("result_hits", "executor.result_cache.disk_hits");
-         ("result_misses", "executor.result_cache.disk_misses");
-         ("result_stores", "executor.result_cache.disk_stores");
-         ("matrix_edges_loaded", "compress.matrix.disk_edges_loaded");
-         ("matrix_served_warm", "compress.matrix.disk_served");
-         ("matrix_edges_computed", "compress.edge_cost.computed") ])
-
-let pool_utilization_json () =
-  Obs.Json.List
-    (List.map
-       (fun u ->
-         Obs.Json.Obj
-           [ ("worker", Obs.Json.String u.wu_worker);
-             ("busy_ns", Obs.Json.Float u.wu_busy);
-             ("steal_ns", Obs.Json.Float u.wu_steal);
-             ("idle_ns", Obs.Json.Float u.wu_idle);
-             ("merge_wait_ns", Obs.Json.Float u.wu_merge);
-             ("wall_ns", Obs.Json.Float u.wu_wall);
-             ("tasks", Obs.Json.Int u.wu_tasks);
-             ("busy_share", Obs.Json.Float (pct u.wu_busy u.wu_wall /. 100.0)) ])
-       (pool_utilization ()))
-
-let cache_attribution_json () =
-  Obs.Json.List
-    (List.map
-       (fun (site, h, m) ->
-         Obs.Json.Obj
-           [ ("site", Obs.Json.String site);
-             ("hits", Obs.Json.Int h);
-             ("misses", Obs.Json.Int m) ])
-       (cache_attribution ()))
+let telemetry () = ("telemetry", Obs.Report.to_json (Obs.Report.snapshot ()))
 
 (* ------------------------------------------------------------------ *)
 (* qtr rules                                                           *)
@@ -399,7 +261,7 @@ let optimize_cmd =
   in
   let run scale budget sql disabled trace json =
     with_telemetry trace @@ fun () ->
-    if json then Obs.Metrics.set_enabled true;
+    if json then enable_report ();
     let fw = make_fw scale budget in
     let cat = Core.Framework.catalog fw in
     match Relalg.Sql_parser.parse cat sql with
@@ -438,7 +300,7 @@ let optimize_cmd =
                   match execution with
                   | Ok _ -> Obs.Json.Null
                   | Error e -> Obs.Json.String e );
-                ("metrics", Obs.Report.metrics_json ()) ]
+                telemetry () ]
           in
           print_endline (Obs.Json.to_string doc)
         end
@@ -710,10 +572,7 @@ let validate_cmd =
   in
   let run scale budget seed n k inject corpus max_checks jobs cache_dir trace json =
     with_telemetry trace @@ fun () ->
-    if json then begin
-      Obs.Metrics.set_enabled true;
-      Obs.Profile.enable ()
-    end;
+    if json then enable_report ();
     let t0 = Obs.Clock.now_ns () in
     let pool = pool_of jobs in
     let rules_override = Option.map Core.Faults.inject inject in
@@ -806,11 +665,7 @@ let validate_cmd =
                        ("errors", Obs.Json.Int (List.length report.errors)) ] );
                  ("triage", Triage.Pipeline.report_json triaged) ]
               @ Option.to_list (Option.map (fun s -> ("delta", delta_report_json s)) sess)
-              @ [ ("profile", Obs.Profile.to_json ());
-                  ("pool", pool_utilization_json ());
-                  ("result_cache", cache_attribution_json ());
-                  ("disk_cache", disk_cache_json ());
-                  ("metrics", Obs.Report.metrics_json ()) ])))
+              @ [ telemetry () ])))
     end
     else begin
       if report.bugs <> [] then Format.printf "%a@." Triage.Pipeline.pp_report triaged;
@@ -1038,8 +893,7 @@ let stats_cmd =
         folded
     in
     with_telemetry trace @@ fun () ->
-    Obs.Metrics.set_enabled true;
-    Obs.Profile.enable ();
+    enable_report ();
     let pool = pool_of jobs in
     let fw = make_fw scale budget in
     let cat = Core.Framework.catalog fw in
@@ -1080,14 +934,7 @@ let stats_cmd =
           (fun () -> Obs.Profile.write_folded oc);
         if not json then Printf.printf "folded stacks written to %s\n" path)
       folded_oc;
-    if json then
-      print_endline
-        (Obs.Json.to_string
-           (Obs.Json.Obj
-              [ ("metrics", Obs.Report.metrics_json ());
-                ("profile", Obs.Profile.to_json ());
-                ("pool", pool_utilization_json ());
-                ("result_cache", cache_attribution_json ()) ]))
+    if json then print_endline (Obs.Json.to_string (Obs.Json.Obj [ telemetry () ]))
     else begin
       let hist_of rule = Obs.Metrics.histogram ~label:rule "optimizer.rule.match_ns" in
       let rows =
@@ -1095,9 +942,8 @@ let stats_cmd =
           (fun (rule, values) ->
             match values with
             | [ a; r; f ] ->
-              let attempts = counter_cell a
-              and rewrites = counter_cell r
-              and fired = counter_cell f in
+              let cell = Obs.Report.counter_cell in
+              let attempts = cell a and rewrites = cell r and fired = cell f in
               let h = hist_of rule in
               let snap = Obs.Metrics.hist_snapshot h in
               let rate =
@@ -1172,20 +1018,7 @@ let stats_cmd =
         (Obs.Clock.ns_to_us
            (Obs.Metrics.hist_mean (Obs.Metrics.histogram "executor.compile_ns")))
         rows_per_sec (rate ex_hits ex_misses) ex_hits (ex_hits + ex_misses);
-      Format.printf "@.%a@." Obs.Profile.pp ();
-      if by_domain then
-        List.iter
-          (fun (dom, rows) ->
-            Printf.printf "\ndomain %d:\n" dom;
-            List.iter
-              (fun (r : Obs.Profile.row) ->
-                Printf.printf "  %-40s %7dx self %9.2fms total %9.2fms\n" r.name
-                  r.count (r.self_ns /. 1e6) (r.total_ns /. 1e6))
-              rows)
-          (Obs.Profile.rows_by_domain ());
-      print_cache_attribution ();
-      print_disk_cache ();
-      print_pool_utilization ();
+      Format.printf "@.%a%!" (Obs.Report.pp ~by_domain) (Obs.Report.snapshot ());
       (* Rule-content identity: what incremental maintenance diffs. The
          drift column compares against the most recently written
          manifest in the cache directory, whatever configuration wrote

@@ -138,18 +138,7 @@ let for_pair ?(max_trials = 60) ?(extra_ops = 0) fw g (r1, r2) =
   | Some p1, Some p2 ->
     instrumented ~meth:"pair" ~target:(r1 ^ "+" ^ r2) ~max_trials (fun instr ->
         let ctx = { Arggen.g; cat = Framework.catalog fw } in
-        (* §3.2 composition derived from the DSL terms when both rules are
-           DSL-backed and this framework registers the same patterns
-           (identical candidate lists by construction — test_dsl.ml holds
-           the two derivations equal); exported-pattern composition
-           otherwise. *)
-        let candidates =
-          match (Optimizer.Rules.rdsl_of r1, Optimizer.Rules.rdsl_of r2) with
-          | Some d1, Some d2
-            when Dsl.Rdsl.pattern d1 = p1 && Dsl.Rdsl.pattern d2 = p2 ->
-            Dsl.Rdsl.compose d1 d2
-          | _ -> compose p1 p2
-        in
+        let candidates = compose p1 p2 in
         let n = List.length candidates in
         let rec loop trials =
           if trials >= max_trials then None

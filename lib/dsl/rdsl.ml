@@ -267,23 +267,6 @@ let image cat r tree =
    definition — not just its name or pattern — yields a new identity. *)
 
 (* ------------------------------------------------------------------ *)
-(* Rule-pair composition (§3.2), derived from the DSL terms            *)
-(* ------------------------------------------------------------------ *)
-
-let compose r1 r2 =
-  let p1 = pattern r1 and p2 = pattern r2 in
-  let substitutions base other =
-    List.filter_map
-      (fun i -> Pattern.substitute_leaf base i other)
-      (List.init (Pattern.leaves base) Fun.id)
-  in
-  let roots =
-    [ Pattern.Op (L.KJoin L.Inner, [ p1; p2 ]); Pattern.Op (L.KUnionAll, [ p1; p2 ]) ]
-  in
-  let candidates = substitutions p1 p2 @ substitutions p2 p1 @ roots in
-  List.stable_sort (fun a b -> compare (Pattern.size a) (Pattern.size b)) candidates
-
-(* ------------------------------------------------------------------ *)
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 

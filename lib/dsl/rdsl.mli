@@ -97,11 +97,6 @@ val fingerprint : rule -> string
 (** Content digest of the rule's deterministic {!to_string} rendering —
     the DSL half of the registry's rule-content fingerprints. *)
 
-val compose : rule -> rule -> Pattern.t list
-(** Rule-pair composition patterns (§3.2) derived from the DSL terms:
-    each lhs pattern substituted into each leaf of the other, plus shared
-    Join/UnionAll roots, sorted by size. Produces the same candidates as
-    the legacy pattern-level composition. *)
 
 val mutations : rule -> (string * rule) list
 (** Systematically broken variants (dropped side-conditions, dropped

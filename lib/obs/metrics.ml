@@ -120,26 +120,29 @@ let hist_mean (h : histogram) =
   let s = hist_snapshot h in
   if s.count = 0 then 0.0 else s.sum /. float_of_int s.count
 
-let hist_quantile (h : histogram) q =
-  Mutex.protect h.lock @@ fun () ->
-  if h.count = 0 then 0.0
+let bucket_quantile buckets ~count ~lo ~hi q =
+  if count = 0 then 0.0
   else begin
-    let rank = q *. float_of_int h.count in
+    let rank = q *. float_of_int count in
     let cum = ref 0 in
-    let result = ref h.hi in
+    let result = ref hi in
     (try
        for b = 0 to n_buckets - 1 do
-         cum := !cum + h.buckets.(b);
+         cum := !cum + buckets.(b);
          if float_of_int !cum >= rank then begin
            (* Geometric midpoint of [2^(b-1), 2^b), clamped to samples. *)
            let mid = if b = 0 then 0.5 else Float.pow 2.0 (float_of_int b -. 0.5) in
-           result := Float.min h.hi (Float.max h.lo mid);
+           result := Float.min hi (Float.max lo mid);
            raise Exit
          end
        done
      with Exit -> ());
     !result
   end
+
+let hist_quantile (h : histogram) q =
+  Mutex.protect h.lock @@ fun () ->
+  bucket_quantile h.buckets ~count:h.count ~lo:h.lo ~hi:h.hi q
 
 type value =
   | Counter of int

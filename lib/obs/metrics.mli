@@ -68,6 +68,23 @@ val hist_quantile : histogram -> float -> float
     the power-of-two buckets: the geometric midpoint of the bucket where
     the cumulative count crosses [q]. 0 when empty. *)
 
+(** {2 Bucket scheme}
+
+    The power-of-two buckets behind histograms, shared with
+    {!Profile}'s span-duration histograms so both estimate quantiles
+    the same way. *)
+
+val n_buckets : int
+
+val bucket_of : float -> int
+(** Bucket of one sample: [0] below 1, else [1 + floor (log2 v)],
+    clamped to the last bucket. *)
+
+val bucket_quantile :
+  int array -> count:int -> lo:float -> hi:float -> float -> float
+(** [bucket_quantile buckets ~count ~lo ~hi q] is {!hist_quantile} over
+    raw bucket counts with sample bounds [lo]/[hi]. *)
+
 type value =
   | Counter of int
   | Gauge of float

@@ -10,15 +10,13 @@
    are meant to be taken at quiescence (Par.Pool joins all helpers
    before returning, so any point between parallel phases qualifies). *)
 
-let n_buckets = 64
-
 type agg = {
   mutable count : int;
   mutable total_ns : float;
   mutable self_ns : float;
   mutable min_ns : float;
   mutable max_ns : float;
-  buckets : int array;  (* power-of-two duration buckets, like Metrics *)
+  buckets : int array;  (* Metrics' power-of-two duration buckets *)
 }
 
 let fresh_agg () =
@@ -27,7 +25,7 @@ let fresh_agg () =
     self_ns = 0.0;
     min_ns = Float.infinity;
     max_ns = Float.neg_infinity;
-    buckets = Array.make n_buckets 0 }
+    buckets = Array.make Metrics.n_buckets 0 }
 
 type frame = {
   fname : string;
@@ -59,13 +57,6 @@ let dls_key =
       Mutex.protect states_lock (fun () -> states := s :: !states);
       s)
 
-let bucket_of v =
-  if v < 1.0 then 0
-  else begin
-    let b = 1 + int_of_float (Float.log2 v) in
-    if b >= n_buckets then n_buckets - 1 else b
-  end
-
 let agg_for tbl name =
   match Hashtbl.find_opt tbl name with
   | Some a -> a
@@ -86,7 +77,8 @@ let record_close st (fr : frame) ~ts_ns =
   a.self_ns <- a.self_ns +. self;
   if dur < a.min_ns then a.min_ns <- dur;
   if dur > a.max_ns then a.max_ns <- dur;
-  a.buckets.(bucket_of dur) <- a.buckets.(bucket_of dur) + 1;
+  let b = Metrics.bucket_of dur in
+  a.buckets.(b) <- a.buckets.(b) + 1;
   match Hashtbl.find_opt st.folded_tbl fr.path with
   | Some r -> r := !r +. self
   | None -> Hashtbl.replace st.folded_tbl fr.path (ref self)
@@ -150,23 +142,7 @@ type row = {
 }
 
 let quantile (a : agg) q =
-  if a.count = 0 then 0.0
-  else begin
-    let rank = q *. float_of_int a.count in
-    let cum = ref 0 in
-    let result = ref a.max_ns in
-    (try
-       for b = 0 to n_buckets - 1 do
-         cum := !cum + a.buckets.(b);
-         if float_of_int !cum >= rank then begin
-           let mid = if b = 0 then 0.5 else Float.pow 2.0 (float_of_int b -. 0.5) in
-           result := Float.min a.max_ns (Float.max a.min_ns mid);
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    !result
-  end
+  Metrics.bucket_quantile a.buckets ~count:a.count ~lo:a.min_ns ~hi:a.max_ns q
 
 let row_of_agg name (a : agg) =
   { name;

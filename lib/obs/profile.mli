@@ -15,9 +15,9 @@
     - {b self} time is total minus time spent in {e direct child} spans,
       so across all names Σself = wall time covered by instrumented
       spans at the top level;
-    - p50/p95 come from power-of-two duration buckets (same scheme as
-      {!Metrics} histograms): exact counts, quantile values accurate to
-      the bucket's geometric midpoint and clamped to observed min/max.
+    - p50/p95 come from {!Metrics}' power-of-two buckets and quantile
+      estimator: exact counts, quantile values accurate to the bucket's
+      geometric midpoint and clamped to observed min/max.
 
     State is per-domain and merged at snapshot time. Take snapshots at
     quiescence — [Par.Pool] joins every helper domain before returning,
@@ -61,6 +61,10 @@ val unmatched : unit -> int
 val write_folded : out_channel -> unit
 (** Emit folded stacks, one ["path self_us"] line each (microseconds,
     rounded — flamegraph.pl wants integers). *)
+
+val row_json : row -> Json.t
+(** One row: [{name; count; total_ns; self_ns; min_ns; max_ns; p50_ns;
+    p95_ns}]. *)
 
 val to_json : unit -> Json.t
 (** [{spans; by_domain; folded; unmatched}] projection of the same

@@ -213,22 +213,7 @@ let test_buggy_loj_right_push_refuted () =
     (differential_catches "PushSelectBelowLeftOuterJoin" buggy_loj_right_push)
 
 (* ------------------------------------------------------------------ *)
-(* Composition and the mismatch gate                                   *)
-
-let test_compose_parity () =
-  let dsl = List.map snd Optimizer.Rules.dsl_rules in
-  List.iter
-    (fun (d1 : R.rule) ->
-      List.iter
-        (fun (d2 : R.rule) ->
-          let derived = R.compose d1 d2 in
-          let legacy = Core.Query_gen.compose (R.pattern d1) (R.pattern d2) in
-          if derived <> legacy then
-            Alcotest.failf "compose(%s, %s) diverges from the legacy derivation"
-              d1.R.name d2.R.name)
-        dsl)
-    dsl;
-  check bool_t "all pairs agree" true true
+(* The mismatch gate                                                  *)
 
 (* dune runtest fails if any registered rule would fire on a root its own
    pattern rejects (satellite: the [Rule.make] mismatch probe). Deltas,
@@ -275,7 +260,5 @@ let suite =
         test_join_family_mutant_caught_by_both;
       Alcotest.test_case "buggy LOJ right-push refuted and caught" `Quick
         test_buggy_loj_right_push_refuted;
-      Alcotest.test_case "DSL-derived composition equals the legacy derivation"
-        `Quick test_compose_parity;
       Alcotest.test_case "pattern-mismatch probe gates the registry" `Quick
         test_pattern_mismatch_gate ] ) ]
